@@ -524,16 +524,31 @@ def example_tensor_markov(
     return algebra, state, model
 
 
+def _partition_items(value, what: str) -> list:
+    if isinstance(value, (str, bytes)):
+        raise NotSubalgebra(f"{what} must be a sequence, got {value!r}")
+    try:
+        return list(value)
+    except TypeError as exc:
+        raise NotSubalgebra(f"{what} must be a sequence, got {value!r}") from exc
+
+
+def _is_index(i) -> bool:
+    # true integers only: a float is never truncated and a bool is no index
+    return isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+
+
 def _validate_partition(
     algebra: Algebra, partition
 ) -> list[list[np.ndarray]]:
-    """Per-block index groups; returns the groups as index arrays."""
+    """Per-block index groups; returns the groups as index arrays.
+
+    Every level must be a sequence (strings are not) and every index a
+    true integer; anything else raises ``NotSubalgebra``.
+    """
 
     sig = algebra.signature
-    try:
-        per_block = list(partition)
-    except TypeError as exc:
-        raise NotSubalgebra(f"partition must be a sequence, got {partition!r}") from exc
+    per_block = _partition_items(partition, "partition")
     if len(per_block) != len(sig):
         raise NotSubalgebra(
             f"partition covers {len(per_block)} blocks, algebra has {len(sig)}"
@@ -542,8 +557,11 @@ def _validate_partition(
     for c, (d, groups) in enumerate(zip(sig, per_block)):
         idx_groups = []
         seen: list[int] = []
-        for g in groups:
-            arr = np.asarray(sorted(int(i) for i in g), dtype=np.intp)
+        for g in _partition_items(groups, f"block {c}: groups"):
+            idx = _partition_items(g, f"block {c}: group")
+            if not all(_is_index(i) for i in idx):
+                raise NotSubalgebra(f"block {c}: group indices must be integers, got {g!r}")
+            arr = np.asarray(sorted(int(i) for i in idx), dtype=np.intp)
             if arr.size == 0:
                 raise NotSubalgebra(f"block {c}: empty group")
             idx_groups.append(arr)

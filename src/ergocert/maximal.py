@@ -54,11 +54,10 @@ from .linalg import (
     HermitianOperator,
     compress,
     eigh,
-    is_psd,
+    eigh_stack,
     max_eigenvalue,
     min_eigenvalue,
     op_norm,
-    positive_part,
     schatten_norm,
     spectral_projection,
 )
@@ -68,6 +67,7 @@ RESIDUAL_RTOL = 1e-7
 PROOF_IDENTITY_FACTOR = 10.0
 SWAP_SCREEN_TOL = 1e-14
 SAMPLER_SEED = 2718
+STACK_SLICE_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,8 @@ class LimitDiagnostics:
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
+    # hermitian part of a matrix, or of each matrix of a stack
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -215,7 +216,7 @@ def _block_update(b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _swap_pass(
-    bs: list[np.ndarray], xs: list[np.ndarray], screen: np.ndarray
+    bs: np.ndarray, xs: list[np.ndarray], screen: np.ndarray
 ) -> bool:
     """Move mass of x_r into coordinates with dominating payoff, in place.
 
@@ -250,23 +251,38 @@ def _swap_pass(
     return changed
 
 
+def _swap_screen(bs: np.ndarray) -> np.ndarray:
+    """screen[r, s] = largest eigenvalue of B_s - B_r (0 on the diagonal).
+
+    Batched ``eigvalsh`` calls per row over the stacked payoffs.
+    """
+
+    stack = np.asarray(bs)
+    screen = np.empty((len(stack), len(stack)))
+    for r in range(len(stack)):
+        for part in _slices(stack):
+            screen[r, part] = np.linalg.eigvalsh(_sym(stack[part] - stack[r]))[:, -1]
+        screen[r, r] = 0.0
+    return screen
+
+
 def _ascend_block(
-    bs: list[np.ndarray],
+    bs: np.ndarray,
     xs: list[np.ndarray],
     opts: SolveOptions,
     budget: int,
     to_fixed_point: bool,
 ) -> tuple[int, bool]:
-    """Cyclic ascent on one algebra block; mutates xs, returns (sweeps, done)."""
+    """Cyclic ascent on one algebra block; mutates xs, returns (sweeps, done).
+
+    ``bs`` is the block's ``(m, d, d)`` payoff stack.
+    """
 
     m = len(bs)
     d = bs[0].shape[0]
     eye = np.eye(d, dtype=np.complex128)
-    screen = np.zeros((m, m))
-    for r in range(m):
-        for s in range(m):
-            if s != r:
-                screen[r, s] = float(np.linalg.eigvalsh(_sym(bs[s] - bs[r]))[-1])
+    swaps = opts.swap_moves and m > 1
+    screen = _swap_screen(bs) if swaps else None
     obj = sum(_pair(b, x) for b, x in zip(bs, xs))
     sweeps = 0
     while sweeps < budget:
@@ -280,7 +296,7 @@ def _ascend_block(
                 total = total + (xnew - xs[r])
                 xs[r] = xnew
                 changed = True
-        if opts.swap_moves and m > 1:
+        if swaps:
             if _swap_pass(bs, xs, screen):
                 changed = True
         if not changed:
@@ -362,7 +378,7 @@ def _solve_from_blocks(
     xs_arr = [
         [np.array(xs_ops[r].blocks[c]) for r in range(m)] for c in range(nblocks)
     ]
-    bs_arr = [[np.array(blocks_B[r].blocks[c]) for r in range(m)] for c in range(nblocks)]
+    bs_arr = [np.stack([b.blocks[c] for b in blocks_B]) for c in range(nblocks)]
 
     dual = dual_upper_bound(blocks_B)
     total_sweeps = 0
@@ -501,6 +517,59 @@ def solve_maximizer(
     return _solve_from_blocks(state.algebra, blocks, opts, warm, adjoint)
 
 
+def _spectral_positive_part(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # stacked positive parts from a stacked decomposition, as positive_part builds them
+    return _sym((u * np.maximum(w, 0.0)[:, None, :]) @ u.conj().swapaxes(-1, -2))
+
+
+def _slices(stack: np.ndarray) -> list[slice]:
+    """Slices of a stack of about ``STACK_SLICE_BYTES`` each.
+
+    Batching pays for small matrices, where call overhead dominates; for
+    large ones it saves nothing, so slicing keeps the temporaries of a
+    batched call near that size without costing the small case anything.
+    """
+
+    step = max(1, STACK_SLICE_BYTES // stack[0].nbytes)
+    return [slice(i, i + step) for i in range(0, len(stack), step)]
+
+
+def _payoff_summary(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per payoff of one block: largest eigenvalue and Tr (B_r)_+; and sum_r (B_r)_+."""
+
+    tops, masses = [], []
+    total = np.zeros(stack.shape[1:], dtype=np.complex128)
+    for part in _slices(stack):
+        w, u = eigh_stack(stack[part])
+        positive = _spectral_positive_part(w, u)
+        # summed in payoff order, as one operator at a time would
+        for p in positive:
+            total = total + p
+        tops.append(w[:, -1])
+        masses.append(np.trace(positive, axis1=1, axis2=2).real)
+    return np.concatenate(tops), np.concatenate(masses), total
+
+
+def _witness_spectrum(
+    z: list[np.ndarray], stacks: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least and largest eigenvalue of each of Z, Z - B_0, ..., Z - B_{m-1}.
+
+    Each operator's extremes are taken over all its blocks; every block
+    decomposes [Z; Z - B_0; ...] in checked batched calls.
+    """
+
+    lows, highs = [], []
+    for zc, stack in zip(z, stacks):
+        witness = np.empty((len(stack) + 1,) + zc.shape, dtype=np.complex128)
+        witness[0] = zc
+        np.subtract(zc, stack, out=witness[1:])
+        w = np.concatenate([eigh_stack(witness[part])[0] for part in _slices(witness)])
+        lows.append(w[:, 0])
+        highs.append(w[:, -1])
+    return np.min(lows, axis=0), np.max(highs, axis=0)
+
+
 def dual_upper_bound(blocks_B: tuple[HermitianOperator, ...]) -> float:
     """Least trace among verified dual witnesses Z >= B_r, Z >= 0.
 
@@ -510,6 +579,13 @@ def dual_upper_bound(blocks_B: tuple[HermitianOperator, ...]) -> float:
     smallest verified slack tightens further.  Every candidate is
     re-verified and any eigenvalue deficit is added back, so the returned
     value is a true bound up to eigensolver accuracy.
+
+    Evaluation is stacked: each algebra block holds its payoffs as one
+    ``(m, d, d)`` array, every fold step runs for all sweep orders in one
+    batched decomposition, and a candidate's witness check decomposes
+    ``[Z; Z - B_0; ...; Z - B_{m-1}]`` once per pass, in slices of about
+    ``STACK_SLICE_BYTES``.  Acceptance is ``is_psd``'s rule per operator,
+    over all blocks of that operator.
     """
 
     bs = tuple(blocks_B)
@@ -517,51 +593,47 @@ def dual_upper_bound(blocks_B: tuple[HermitianOperator, ...]) -> float:
         return 0.0
     m = len(bs)
     dims = bs[0].dims
-    zero = HermitianOperator.zeros(dims)
-    one = HermitianOperator.identity(dims)
     total_dim = sum(dims)
-
-    def folded(order: tuple[int, ...]) -> HermitianOperator:
-        z = zero
-        for r in order:
-            z = z + positive_part(bs[r] - z)
-        return z
-
-    candidates = [sum((positive_part(b) for b in bs), start=zero)]
+    stacks = [np.stack([b.blocks[c] for b in bs]) for c in range(len(dims))]
+    tops, masses, sum_pos = zip(*(_payoff_summary(stack) for stack in stacks))
     orders = {tuple(range(m)), tuple(reversed(range(m)))}
-    by_top = np.argsort([-max_eigenvalue(b) for b in bs], kind="stable")
-    orders.add(tuple(int(i) for i in by_top))
-    by_mass = np.argsort(
-        [-positive_part(b).real_trace() for b in bs], kind="stable"
-    )
-    orders.add(tuple(int(i) for i in by_mass))
-    for order in sorted(orders):
-        candidates.append(folded(order))
+    top = np.max(tops, axis=0)
+    orders.add(tuple(int(i) for i in np.argsort(-top, kind="stable")))
+    mass = sum(masses)
+    orders.add(tuple(int(i) for i in np.argsort(-mass, kind="stable")))
+    orders = sorted(orders)
+
+    # fold every order at once: step t adds (B_{order[t]} - Z)_+ to each Z
+    folds = [np.zeros((len(orders), d, d), dtype=np.complex128) for d in dims]
+    for t in range(m):
+        idx = [order[t] for order in orders]
+        for c, stack in enumerate(stacks):
+            w, u = eigh_stack(stack[idx] - folds[c])
+            folds[c] = folds[c] + _spectral_positive_part(w, u)
+    candidates = [list(sum_pos)] + [
+        [fc[k] for fc in folds] for k in range(len(orders))
+    ]
+
+    def witness_value(z: list[np.ndarray], lo: np.ndarray) -> float:
+        # Tr(Z) plus the eigenvalue deficit, spread over the whole dimension
+        deficit = max(0.0, float(np.max(-lo)))
+        return float(sum(np.trace(zc).real for zc in z)) + deficit * total_dim
 
     best = math.inf
+    fallback = None
     for z in candidates:
-        slack = min(
-            min_eigenvalue(z), min(min_eigenvalue(z - b) for b in bs)
-        )
+        lo, hi = _witness_spectrum(z, stacks)
+        if fallback is None:
+            fallback = witness_value(z, lo)
+        slack = float(np.min(lo))
         if slack > 0.0:
-            z = z - slack * one
-        if not (is_psd(z) and all(is_psd(z - b) for b in bs)):
-            continue
-        deficit = max(
-            0.0,
-            -min_eigenvalue(z),
-            max(-min_eigenvalue(z - b) for b in bs),
-        )
-        best = min(best, z.real_trace() + deficit * total_dim)
-    if not math.isfinite(best):
-        z = candidates[0]
-        deficit = max(
-            0.0,
-            -min_eigenvalue(z),
-            max(-min_eigenvalue(z - b) for b in bs),
-        )
-        best = z.real_trace() + deficit * total_dim
-    return float(best)
+            z = [zc - slack * np.eye(zc.shape[0], dtype=np.complex128) for zc in z]
+            lo, hi = _witness_spectrum(z, stacks)
+        scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+        if np.all(lo >= -PSD_TOL * scale):
+            best = min(best, witness_value(z, lo))
+    # no candidate verified: Z_0 with its deficit added back is still a bound
+    return float(best if math.isfinite(best) else fallback)
 
 
 def extract_projection(

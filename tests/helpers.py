@@ -2,14 +2,25 @@
 
 Everything is seeded through an explicit numpy Generator so repeated runs
 see identical data.  Oracles used by the tests (power iteration, scalar
-recursions) live next to the tests that use them, not here.
+recursions) live next to the tests that use them, not here.  The
+exceptions are the per-operator references for the stacked kernels of
+``maximal``, kept here as the code those kernels replaced.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ergocert.linalg import BlockMatrix, HermitianOperator
+from ergocert.linalg import (
+    BlockMatrix,
+    HermitianOperator,
+    is_psd,
+    max_eigenvalue,
+    min_eigenvalue,
+    positive_part,
+)
 
 
 def random_complex(rng: np.random.Generator, n: int, m: int | None = None) -> np.ndarray:
@@ -44,3 +55,79 @@ def random_unitary(rng: np.random.Generator, dims) -> BlockMatrix:
         q, r = np.linalg.qr(random_complex(rng, d))
         blocks.append(q * (np.diag(r) / np.abs(np.diag(r))))
     return BlockMatrix(blocks)
+
+
+def reference_dual_upper_bound(blocks_B) -> float:
+    """``dual_upper_bound`` evaluated one operator at a time.
+
+    The same candidates, slack shift, ``is_psd`` acceptance and deficit
+    add-back as the stacked version, built from ``HermitianOperator``
+    arithmetic and cached per-operator eigendecompositions.
+    """
+
+    bs = tuple(blocks_B)
+    if not bs:
+        return 0.0
+    m = len(bs)
+    dims = bs[0].dims
+    zero = HermitianOperator.zeros(dims)
+    one = HermitianOperator.identity(dims)
+    total_dim = sum(dims)
+
+    def folded(order):
+        z = zero
+        for r in order:
+            z = z + positive_part(bs[r] - z)
+        return z
+
+    candidates = [sum((positive_part(b) for b in bs), start=zero)]
+    orders = {tuple(range(m)), tuple(reversed(range(m)))}
+    by_top = np.argsort([-max_eigenvalue(b) for b in bs], kind="stable")
+    orders.add(tuple(int(i) for i in by_top))
+    by_mass = np.argsort([-positive_part(b).real_trace() for b in bs], kind="stable")
+    orders.add(tuple(int(i) for i in by_mass))
+    for order in sorted(orders):
+        candidates.append(folded(order))
+
+    def deficit(z):
+        return max(0.0, -min_eigenvalue(z), max(-min_eigenvalue(z - b) for b in bs))
+
+    best = math.inf
+    for z in candidates:
+        slack = min(min_eigenvalue(z), min(min_eigenvalue(z - b) for b in bs))
+        if slack > 0.0:
+            z = z - slack * one
+        if not (is_psd(z) and all(is_psd(z - b) for b in bs)):
+            continue
+        best = min(best, z.real_trace() + deficit(z) * total_dim)
+    if not math.isfinite(best):
+        best = candidates[0].real_trace() + deficit(candidates[0]) * total_dim
+    return float(best)
+
+
+def reference_swap_screen(bs) -> np.ndarray:
+    """The swap screen one pair at a time: largest eigenvalue of B_s - B_r."""
+
+    m = len(bs)
+    screen = np.zeros((m, m))
+    for r in range(m):
+        for s in range(m):
+            if s != r:
+                diff = bs[s] - bs[r]
+                screen[r, s] = float(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))[-1])
+    return screen
+
+
+def perturbed_eigh(delta: float, max_entry: float = math.inf):
+    """A stand-in for ``np.linalg.eigh`` whose vectors are off by ``delta``
+    on every matrix whose entries stay below ``max_entry`` in magnitude."""
+
+    real = np.linalg.eigh
+
+    def fake(a, *args, **kwargs):
+        w, u = real(a, *args, **kwargs)
+        if np.max(np.abs(a)) < max_entry:
+            u = u + delta
+        return w, u
+
+    return fake

@@ -66,6 +66,14 @@ def test_verify_malformed_file_exits_two(tmp_path):
     assert main(["verify", str(bad)]) == 2
 
 
+def test_verify_malformed_partition_exits_two(tmp_path, capsys):
+    sc = write_scenario(
+        tmp_path, map={"kind": "cond_exp", "partition": [[["a"], [1]]]}
+    )
+    assert main(["verify", sc]) == 2
+    assert "NotSubalgebra" in capsys.readouterr().err
+
+
 def test_verify_strict_unstable_limit_exits_three(tmp_path, capsys):
     sc = write_scenario(tmp_path, horizon=3)
     assert main(["verify", sc, "--strict", "--out", str(tmp_path / "r.json")]) == 3

@@ -506,6 +506,12 @@ def test_cond_expectation_rejects_bad_partitions():
         example_cond_expectation(M2, state, [[[0, 2]]])  # out of range
     with pytest.raises(NotSubalgebra):
         example_cond_expectation(M2, state, [[[0], []]])  # empty group
+    with pytest.raises(NotSubalgebra):
+        example_cond_expectation(M2, state, [[["a"], [1]]])  # string index
+    with pytest.raises(NotSubalgebra):
+        example_cond_expectation(M2, state, [[0, 1]])  # groups are not lists
+    with pytest.raises(NotSubalgebra):
+        example_cond_expectation(M2, state, [[[0.7], [1]]])  # float, not truncated
 
 
 # -- seeded generation --------------------------------------------------------

@@ -18,6 +18,7 @@ from ergocert.errors import (
     DomainError,
     InputError,
     InvalidExponent,
+    NonConvergence,
 )
 from ergocert.linalg import (
     BlockMatrix,
@@ -31,7 +32,13 @@ from ergocert.linalg import (
     schatten_norm,
     spectral_projection,
 )
-from helpers import random_block_matrix, random_hermitian, random_psd, random_unitary
+from helpers import (
+    perturbed_eigh,
+    random_block_matrix,
+    random_hermitian,
+    random_psd,
+    random_unitary,
+)
 
 HSETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -112,6 +119,23 @@ def test_eigh_ascending_and_unitary(seed, d):
     w, u = spec.eigenvalues[0], spec.vectors[0]
     assert np.all(np.diff(w) >= 0.0)
     assert np.linalg.norm(u.conj().T @ u - np.eye(d), 2) <= 1e-10
+
+
+def test_eigh_reconstruction_guard_fires(monkeypatch):
+    a = random_hermitian(np.random.default_rng(3), [3, 2])
+    monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh(1e-6))
+    with pytest.raises(NonConvergence):
+        eigh(a)
+    assert a._spec is None
+
+
+def test_eigh_guard_judges_each_block_at_its_own_scale(monkeypatch):
+    # the unit block misses by ~1e-7, far above 1e-10 at its own scale but
+    # inside the 1e-10 * 1e6 a check at the operator's scale would allow
+    a = HermitianOperator([np.diag([1e6, 2.0]), np.diag([1.0, 0.5])])
+    monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh(1e-7, max_entry=10.0))
+    with pytest.raises(NonConvergence):
+        eigh(a)
 
 
 # -- functional calculus --------------------------------------------------

@@ -17,6 +17,7 @@ from ergocert.dynamics import PositiveMapModel, extend_l1, random_certified_map
 from ergocert.errors import (
     ConditionsNotMet,
     InputError,
+    NonConvergence,
     NoStableLimit,
     NotStochastic,
     NotTracial,
@@ -27,6 +28,8 @@ from ergocert.maximal import (
     KPoint,
     SolveOptions,
     _ascend_block,
+    _payoff_blocks,
+    _swap_screen,
     commutative_oracle,
     diagonal_instance,
     dual_upper_bound,
@@ -40,6 +43,9 @@ from ergocert.maximal import (
     weak_type_predicate,
     yeadon_tracial,
 )
+from ergocert.suite import suite_instance
+
+from helpers import perturbed_eigh, reference_dual_upper_bound, reference_swap_screen
 
 HSETTINGS = settings(max_examples=15, deadline=None, derandomize=True)
 
@@ -294,6 +300,47 @@ def test_dual_bound_single_payoff_is_positive_part_trace():
         positive_part(b).real_trace(), abs=1e-9
     )
     assert dual_upper_bound(()) == 0.0
+
+
+def _assert_stacked_kernels_match(blocks):
+    got = dual_upper_bound(blocks)
+    ref = reference_dual_upper_bound(blocks)
+    assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+    for c in range(len(blocks[0].dims)):
+        stack = np.stack([b.blocks[c] for b in blocks])
+        assert np.array_equal(_swap_screen(stack), reference_swap_screen(list(stack)))
+
+
+def test_stacked_kernels_match_per_operator_reference():
+    # corpus payoffs: the prefixes of an order-20 sequence give m = 1 ... 21
+    for seed in (0, 1, 2):
+        inst = suite_instance(seed)
+        blocks, _ = _payoff_blocks(inst.a, inst.lam, 20, inst.state, inst.ext)
+        for m in range(1, 22):
+            _assert_stacked_kernels_match(blocks[:m])
+    for seed, dims in ((5, (2, 1)), (6, (3,)), (7, (1, 1, 1))):
+        _, state, a, ext = _certified_instance(seed, dims=dims)
+        for lam in (0.5, 1.0):
+            blocks, _ = _payoff_blocks(a, lam, 6, state, ext)
+            _assert_stacked_kernels_match(blocks)
+    # 20-dim blocks: the stacked calls run in several slices
+    _, state, a, ext = _certified_instance(8, dims=(20,), trace=10.0)
+    blocks, _ = _payoff_blocks(a, 0.5, 11, state, ext)
+    _assert_stacked_kernels_match(blocks)
+    rng = np.random.default_rng(21)
+    for _ in range(3):
+        P, mu = _random_kernel(rng, 3)
+        _, state, a, ext = diagonal_instance(rng.uniform(0.0, 2.5, 3), mu, P)
+        blocks, _ = _payoff_blocks(a, 1.0, 8, state, ext)
+        _assert_stacked_kernels_match(blocks)
+
+
+def test_dual_reconstruction_guard_fires(monkeypatch):
+    _, state, a, ext = _certified_instance(3)
+    blocks, _ = _payoff_blocks(a, 1.0, 4, state, ext)
+    monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh(1e-6))
+    with pytest.raises(NonConvergence):
+        dual_upper_bound(blocks)
 
 
 def test_stalled_flag_reports_exhausted_budget():
