@@ -6,17 +6,14 @@ certified map extension, the engine maximizes the linear functional
     g(x_0, ..., x_n) = sum_r Tr(B_r x_r),   B_r = (r+1) (S_r(a) - lambda rho),
 
 over the compact convex set K = {x_r >= 0, sum_r x_r <= 1}.  The ascent
-combines three moves, each monotone and in closed form:
+combines two moves, each monotone and in closed form:
 
 * a cyclic block update that replaces ``x_r`` by the exact maximizer of
   ``Tr(B_r x)`` over ``0 <= x <= C_r`` with ``C_r = 1 - sum_{s != r} x_s``
-  (congruence by ``C_r^{1/2}`` followed by a spectral cut),
+  (congruence by ``C_r^{1/2}`` followed by a spectral cut), and
 * a pairwise dominance transfer that moves mass supported in ``x_r`` to a
   coordinate ``s`` where ``B_s`` dominates, which settles commuting
-  instances exactly, and
-* a shift comparison against ``(T~(x_1), ..., T~(x_n), 0)``, the move the
-  mass bound's derivation compares against, so the returned point always
-  satisfies that comparison.
+  instances exactly.
 
 A feasible dual witness ``Z >= B_r, Z >= 0`` bounds the optimum by
 ``Tr(Z)``.  The support projection of ``z = 1 - sum_r x_r`` then carries
@@ -27,7 +24,7 @@ residual slacks (pass means every slack is ``>= -tol``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,6 +59,7 @@ from .linalg import (
     spectral_projection,
 )
 
+TOL_OBJ = 1e-10
 STALL_GAP = 1e-4
 RESIDUAL_RTOL = 1e-7
 PROOF_IDENTITY_FACTOR = 10.0
@@ -74,19 +72,17 @@ STACK_SLICE_BYTES = 1 << 16
 class SolveOptions:
     """Knobs for the K-maximization and the uniform limit detection.
 
-    ``eps_kernel`` of None defers to the scale-aware default of the
-    spectral cut.  ``check_horizon`` of None means four times the
-    requested horizon.
+    ``max_sweeps`` bounds the ascent sweeps of one solve.  ``eps_kernel``
+    of None defers to the scale-aware default of the spectral cut;
+    ``strict_cuts`` makes eigenvalues at a cut raise instead of being
+    pushed to its complement.  ``cluster_tol`` and ``window`` set when the
+    projection sequence counts as stable, and ``check_horizon`` of None
+    means four times the requested horizon.
     """
 
-    tol_obj: float = 1e-10
-    tol_gap: float = 1e-8
     max_sweeps: int = 200
-    stall_gap: float = STALL_GAP
     eps_kernel: float | None = None
     strict_cuts: bool = False
-    swap_moves: bool = True
-    shift_moves: bool = True
     cluster_tol: float = 1e-6
     window: int = 5
     check_horizon: int | None = None
@@ -269,19 +265,19 @@ def _swap_screen(bs: np.ndarray) -> np.ndarray:
 def _ascend_block(
     bs: np.ndarray,
     xs: list[np.ndarray],
-    opts: SolveOptions,
     budget: int,
     to_fixed_point: bool,
 ) -> tuple[int, bool]:
     """Cyclic ascent on one algebra block; mutates xs, returns (sweeps, done).
 
-    ``bs`` is the block's ``(m, d, d)`` payoff stack.
+    ``bs`` is the block's ``(m, d, d)`` payoff stack.  Swaps run when
+    there are at least two coordinates.
     """
 
     m = len(bs)
     d = bs[0].shape[0]
     eye = np.eye(d, dtype=np.complex128)
-    swaps = opts.swap_moves and m > 1
+    swaps = m > 1
     screen = _swap_screen(bs) if swaps else None
     obj = sum(_pair(b, x) for b, x in zip(bs, xs))
     sweeps = 0
@@ -302,7 +298,7 @@ def _ascend_block(
         if not changed:
             return sweeps, True
         new_obj = sum(_pair(b, x) for b, x in zip(bs, xs))
-        if not to_fixed_point and new_obj - obj <= opts.tol_obj * max(1.0, abs(new_obj)):
+        if not to_fixed_point and new_obj - obj <= TOL_OBJ * max(1.0, abs(new_obj)):
             return sweeps, True
         obj = new_obj
     return sweeps, False
@@ -330,20 +326,11 @@ def _point_objective(
     )
 
 
-def _shift_point(
-    adjoint: PositiveMapModel, xs: list[HermitianOperator], algebra: Algebra
-) -> list[HermitianOperator]:
-    out = [adjoint.apply(xs[r + 1]) for r in range(len(xs) - 1)]
-    out.append(algebra.zeros())
-    return out
-
-
 def _solve_from_blocks(
     algebra: Algebra,
     blocks_B: tuple[HermitianOperator, ...],
     opts: SolveOptions,
     warm: KPoint | None,
-    adjoint: PositiveMapModel | None,
 ) -> MaximizerSolution:
     m = len(blocks_B)
     nblocks = len(algebra.signature)
@@ -381,51 +368,19 @@ def _solve_from_blocks(
     bs_arr = [np.stack([b.blocks[c] for b in blocks_B]) for c in range(nblocks)]
 
     dual = dual_upper_bound(blocks_B)
-    total_sweeps = 0
-    stalled = False
-    while True:
-        budget = opts.max_sweeps - total_sweeps
-        if budget <= 0:
-            stalled = True
-            break
-        used = 0
-        done_all = True
-        for c in range(nblocks):
-            sw, done = _ascend_block(bs_arr[c], xs_arr[c], opts, budget, False)
-            used = max(used, sw)
-            done_all = done_all and done
-        total_sweeps += used
-        if not done_all:
-            stalled = True
-            break
+    runs = [
+        _ascend_block(bs_arr[c], xs_arr[c], opts.max_sweeps, False)
+        for c in range(nblocks)
+    ]
+    total_sweeps = max(sw for sw, _ in runs)
+    stalled = not all(done for _, done in runs)
+    if not stalled:
         # polish to a literal fixed point of the block update; the pointwise
         # inequality is a first-order condition there, independent of the gap
-        polish_used = 0
-        for c in range(nblocks):
-            sw, _ = _ascend_block(bs_arr[c], xs_arr[c], opts, 30, True)
-            polish_used = max(polish_used, sw)
-        total_sweeps += polish_used
-        if adjoint is None or not opts.shift_moves or m == 1:
-            break
-        xs_ops = [
-            HermitianOperator._exact([xs_arr[c][r] for c in range(nblocks)])
-            for r in range(m)
-        ]
-        current = _point_objective(blocks_B, xs_ops)
-        if dual - current <= opts.tol_gap * max(1.0, abs(dual)):
-            break
-        shifted = _shift_point(adjoint, xs_ops, algebra)
-        candidate = KPoint(tuple(shifted))
-        neg, excess = candidate.feasibility_defect()
-        if neg < -1e-11 or excess > 1e-11:
-            break
-        gain = _point_objective(blocks_B, shifted) - current
-        if gain <= 1e-12 * scale:
-            break
-        xs_arr = [
-            [np.array(shifted[r].blocks[c]) for r in range(m)]
+        total_sweeps += max(
+            _ascend_block(bs_arr[c], xs_arr[c], 30, True)[0]
             for c in range(nblocks)
-        ]
+        )
 
     xs_ops = [
         HermitianOperator._exact([xs_arr[c][r] for c in range(nblocks)])
@@ -434,7 +389,7 @@ def _solve_from_blocks(
     point = KPoint(tuple(xs_ops))
     objective = _point_objective(blocks_B, xs_ops)
     gap = max(0.0, dual - objective)
-    stalled = stalled and gap > opts.stall_gap * scale
+    stalled = stalled and gap > STALL_GAP * scale
     return MaximizerSolution(
         point=point,
         objective=objective,
@@ -446,29 +401,39 @@ def _solve_from_blocks(
     )
 
 
-def _payoff_blocks(
-    a: LOneElement, lam: float, n: int, state: State, ext: ExtendedMap
-) -> tuple[tuple[HermitianOperator, ...], list[BlockMatrix]]:
-    seq = cesaro_reps(ext.l1_action, a.rep, n)
-    blocks = []
-    for r, s_r in enumerate(seq):
-        diff = s_r - (lam * state.rho)
-        blocks.append(
-            HermitianOperator._exact((float(r + 1) * diff).blocks)
-        )
-    return tuple(blocks), seq
+def _payoffs(
+    seq: list[BlockMatrix], lam: float, density: HermitianOperator
+) -> tuple[HermitianOperator, ...]:
+    """Payoffs ``B_r = (r+1) (S_r(a) - lambda density)``, one per average.
+
+    Raises ``InputError`` naming lambda when a payoff entry overflows.
+    """
+
+    try:
+        # an overflowing entry is rejected by the operator's finiteness check
+        with np.errstate(over="ignore", invalid="ignore"):
+            shift = lam * density
+            return tuple(
+                HermitianOperator._exact((float(r + 1) * (s_r - shift)).blocks)
+                for r, s_r in enumerate(seq)
+            )
+    except InputError as exc:
+        raise InputError(
+            f"threshold lambda {lam:.6g} overflows the payoffs "
+            "(r+1)(S_r(a) - lambda rho)"
+        ) from exc
 
 
 def _validate_problem(
-    a: LOneElement, lam: float, n: int, state: State, ext: ExtendedMap
+    a: LOneElement, lam: float, n: int, algebra: Algebra, map_algebra: Algebra
 ) -> None:
     if not math.isfinite(lam) or lam <= 0.0:
         raise InputError(f"threshold lambda must be positive, got {lam}")
     if n < 0:
         raise InputError(f"order must be >= 0, got {n}")
-    state.algebra.check_member(a.rep)
-    if ext.state.algebra.signature != state.algebra.signature:
-        raise InputError("map extension and state live on different algebras")
+    algebra.check_member(a.rep)
+    if map_algebra.signature != algebra.signature:
+        raise InputError("the map and the element live on different algebras")
     if not isinstance(a.rep, HermitianOperator):
         raise InputError("the averaged element must be self-adjoint")
     lo = min_eigenvalue(a.rep)
@@ -486,8 +451,8 @@ def objective_g(
     """Value of g at a feasible point, recomputed from scratch."""
 
     n = point.order
-    _validate_problem(a, lam, n, state, ext)
-    blocks, _ = _payoff_blocks(a, lam, n, state, ext)
+    _validate_problem(a, lam, n, state.algebra, ext.state.algebra)
+    blocks = _payoffs(cesaro_reps(ext.l1_action, a.rep, n), lam, state.rho)
     for x in point.xs:
         state.algebra.check_member(x)
     return _point_objective(blocks, list(point.xs))
@@ -508,13 +473,14 @@ def solve_maximizer(
     nondecreasing along the ascent, and ``objective <= dual_bound`` up to
     the dual witness's own eigenvalue accuracy.  ``stalled`` flags runs
     that exhausted ``opts.max_sweeps`` while the duality gap stayed above
-    ``opts.stall_gap`` times the payoff scale.
+    ``STALL_GAP`` times the payoff scale.  A solve is the ascent until an
+    objective gain falls below ``TOL_OBJ`` relative, then at most 30
+    sweeps to a literal fixed point of the block update.
     """
 
-    _validate_problem(a, lam, n, state, ext)
-    blocks, _ = _payoff_blocks(a, lam, n, state, ext)
-    adjoint = ext.adjoint_action if opts.shift_moves else None
-    return _solve_from_blocks(state.algebra, blocks, opts, warm, adjoint)
+    _validate_problem(a, lam, n, state.algebra, ext.state.algebra)
+    blocks = _payoffs(cesaro_reps(ext.l1_action, a.rep, n), lam, state.rho)
+    return _solve_from_blocks(state.algebra, blocks, opts, warm)
 
 
 def _spectral_positive_part(w: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -534,20 +500,15 @@ def _slices(stack: np.ndarray) -> list[slice]:
     return [slice(i, i + step) for i in range(0, len(stack), step)]
 
 
-def _payoff_summary(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per payoff of one block: largest eigenvalue and Tr (B_r)_+; and sum_r (B_r)_+."""
+def _payoff_summary(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per payoff of one block: largest eigenvalue and Tr (B_r)_+."""
 
     tops, masses = [], []
-    total = np.zeros(stack.shape[1:], dtype=np.complex128)
     for part in _slices(stack):
         w, u = eigh_stack(stack[part])
-        positive = _spectral_positive_part(w, u)
-        # summed in payoff order, as one operator at a time would
-        for p in positive:
-            total = total + p
         tops.append(w[:, -1])
-        masses.append(np.trace(positive, axis1=1, axis2=2).real)
-    return np.concatenate(tops), np.concatenate(masses), total
+        masses.append(np.trace(_spectral_positive_part(w, u), axis1=1, axis2=2).real)
+    return np.concatenate(tops), np.concatenate(masses)
 
 
 def _witness_spectrum(
@@ -573,12 +534,14 @@ def _witness_spectrum(
 def dual_upper_bound(blocks_B: tuple[HermitianOperator, ...]) -> float:
     """Least trace among verified dual witnesses Z >= B_r, Z >= 0.
 
-    ``Z_0 = sum_r (B_r)_+`` is always feasible.  Folding from zero,
-    ``Z <- Z + (B_r - Z)_+`` in several sweep orders, reproduces the
-    pointwise maximum in commuting instances; a uniform shrink by the
-    smallest verified slack tightens further.  Every candidate is
-    re-verified and any eigenvalue deficit is added back, so the returned
-    value is a true bound up to eigensolver accuracy.
+    The candidates fold from zero, ``Z <- Z + (B_r - Z)_+``, in several
+    sweep orders: ascending, descending, and by decreasing largest
+    eigenvalue and positive mass of ``B_r``.  Each fold is feasible by
+    construction and reproduces the pointwise maximum in commuting
+    instances; a uniform shrink by the smallest verified slack tightens
+    further.  Every candidate is re-verified and any eigenvalue deficit is
+    added back, so the returned value is a true bound up to eigensolver
+    accuracy.
 
     Evaluation is stacked: each algebra block holds its payoffs as one
     ``(m, d, d)`` array, every fold step runs for all sweep orders in one
@@ -595,7 +558,7 @@ def dual_upper_bound(blocks_B: tuple[HermitianOperator, ...]) -> float:
     dims = bs[0].dims
     total_dim = sum(dims)
     stacks = [np.stack([b.blocks[c] for b in bs]) for c in range(len(dims))]
-    tops, masses, sum_pos = zip(*(_payoff_summary(stack) for stack in stacks))
+    tops, masses = zip(*(_payoff_summary(stack) for stack in stacks))
     orders = {tuple(range(m)), tuple(reversed(range(m)))}
     top = np.max(tops, axis=0)
     orders.add(tuple(int(i) for i in np.argsort(-top, kind="stable")))
@@ -610,9 +573,7 @@ def dual_upper_bound(blocks_B: tuple[HermitianOperator, ...]) -> float:
         for c, stack in enumerate(stacks):
             w, u = eigh_stack(stack[idx] - folds[c])
             folds[c] = folds[c] + _spectral_positive_part(w, u)
-    candidates = [list(sum_pos)] + [
-        [fc[k] for fc in folds] for k in range(len(orders))
-    ]
+    candidates = [[fc[k] for fc in folds] for k in range(len(orders))]
 
     def witness_value(z: list[np.ndarray], lo: np.ndarray) -> float:
         # Tr(Z) plus the eigenvalue deficit, spread over the whole dimension
@@ -632,7 +593,7 @@ def dual_upper_bound(blocks_B: tuple[HermitianOperator, ...]) -> float:
         scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
         if np.all(lo >= -PSD_TOL * scale):
             best = min(best, witness_value(z, lo))
-    # no candidate verified: Z_0 with its deficit added back is still a bound
+    # no candidate verified: the first fold plus its deficit is still a bound
     return float(best if math.isfinite(best) else fallback)
 
 
@@ -682,7 +643,7 @@ def pointwise_certificate(
     The sharper one-over-lambda mass slack is informational only.
     """
 
-    _validate_problem(a, lam, n, state, ext)
+    _validate_problem(a, lam, n, state.algebra, ext.state.algebra)
     if tol is None:
         tol = _residual_tol(a, lam)
     sol = solve_maximizer(a, lam, n, state, ext, opts)
@@ -765,6 +726,78 @@ def _inverse_cut(
     )
 
 
+def _limit_cut(
+    a: LOneElement,
+    lam: float,
+    horizon: int,
+    algebra: Algebra,
+    density: HermitianOperator,
+    action: PositiveMapModel,
+    opts: SolveOptions,
+) -> tuple[
+    list[BlockMatrix], HermitianOperator, HermitianOperator, float, LimitDiagnostics
+]:
+    """The limit construction the uniform and tracial certificates share.
+
+    Solves the orders n = 1..horizon with warm starts, extracts their
+    support projections, averages the largest op-norm cluster into h and
+    cuts h above 1/2 (under ``opts.strict_cuts`` an eigenvalue of h at
+    the cut raises ``AmbiguousSpectralCut``).  Returns the averages
+    S_0(a), ..., S_c(a) up to the check horizon c, the order-horizon
+    projection, the cut projection e, the cut width, and diagnostics that
+    carry h and the inverse cut.  Raises ``NoStableLimit``, carrying
+    diagnostics, when no cluster reaches ``opts.window`` members.
+    """
+
+    if horizon < 1:
+        raise InputError(f"horizon must be >= 1, got {horizon}")
+    check_horizon = (
+        4 * horizon if opts.check_horizon is None else int(opts.check_horizon)
+    )
+    if check_horizon < horizon:
+        raise InputError("check horizon must cover the solve horizon")
+    seq = cesaro_reps(action, a.rep, check_horizon)
+    payoffs = _payoffs(seq[: horizon + 1], lam, density)
+
+    es: list[HermitianOperator] = []
+    warm: KPoint | None = None
+    stalled_solves = 0
+    for n in range(1, horizon + 1):
+        sol = _solve_from_blocks(algebra, payoffs[: n + 1], opts, warm)
+        stalled_solves += int(sol.stalled)
+        es.append(extract_projection(sol, opts.eps_kernel, opts.strict_cuts))
+        warm = KPoint(sol.point.xs + (algebra.zeros(),))
+
+    members, dist = _cluster_tail(es, opts.cluster_tol)
+    h = HermitianOperator._exact(
+        [
+            np.mean([es[i].blocks[c] for i in members], axis=0)
+            for c in range(len(algebra.signature))
+        ]
+    )
+    diag = LimitDiagnostics(
+        distances=tuple(float(dist[members[-1], j]) for j in range(len(es))),
+        cluster=tuple(i + 1 for i in members),
+        window=opts.window,
+        cluster_tol=opts.cluster_tol,
+        stalled_solves=stalled_solves,
+        h=h,
+    )
+    if len(members) < opts.window:
+        raise NoStableLimit(
+            f"largest projection cluster has {len(members)} members, "
+            f"needs {opts.window}",
+            diagnostics=diag,
+        )
+
+    eps = _resolve_eps(h, opts.eps_kernel)
+    if opts.strict_cuts:
+        spectral_projection(h, (0.5, 1.0), eps_kernel=eps, strict=True)
+    e, ginv = _inverse_cut(h, eps)
+    diag = replace(diag, inverse_cut=ginv, inverse_cut_norm=op_norm(ginv))
+    return seq, es[-1], e, eps, diag
+
+
 def uniform_projection(
     a: LOneElement,
     lam: float,
@@ -786,90 +819,25 @@ def uniform_projection(
     ``opts.window`` members.
     """
 
-    if horizon < 1:
-        raise InputError(f"horizon must be >= 1, got {horizon}")
-    _validate_problem(a, lam, horizon, state, ext)
+    _validate_problem(a, lam, horizon, state.algebra, ext.state.algebra)
     if tol is None:
         tol = _residual_tol(a, lam)
-    check_horizon = (
-        4 * horizon if opts.check_horizon is None else int(opts.check_horizon)
+    seq, _, e, eps, diag = _limit_cut(
+        a, lam, horizon, state.algebra, state.rho, ext.l1_action, opts
     )
-    if check_horizon < horizon:
-        raise InputError("check horizon must cover the solve horizon")
-
-    seq = cesaro_reps(ext.l1_action, a.rep, max(horizon, check_horizon))
-    rho = state.rho
-    all_blocks = []
-    for r in range(horizon + 1):
-        diff = seq[r] - (lam * rho)
-        all_blocks.append(HermitianOperator._exact((float(r + 1) * diff).blocks))
-
-    adjoint = ext.adjoint_action if opts.shift_moves else None
-    es: list[HermitianOperator] = []
-    warm: KPoint | None = None
-    stalled_solves = 0
-    for n in range(1, horizon + 1):
-        sol = _solve_from_blocks(
-            state.algebra, tuple(all_blocks[: n + 1]), opts, warm, adjoint
-        )
-        stalled_solves += int(sol.stalled)
-        es.append(extract_projection(sol, opts.eps_kernel, opts.strict_cuts))
-        warm = KPoint(sol.point.xs + (state.algebra.zeros(),))
-
-    members, dist = _cluster_tail(es, opts.cluster_tol)
-    h_blocks = [
-        np.mean([es[i].blocks[c] for i in members], axis=0)
-        for c in range(len(state.algebra.signature))
-    ]
-    h = HermitianOperator._exact(h_blocks)
-    cluster_ns = tuple(i + 1 for i in members)
-    center = members[-1]
-    distances = tuple(float(dist[center, j]) for j in range(len(es)))
-    if len(members) < opts.window:
-        diag = LimitDiagnostics(
-            distances=distances,
-            cluster=cluster_ns,
-            window=opts.window,
-            cluster_tol=opts.cluster_tol,
-            stalled_solves=stalled_solves,
-            h=h,
-        )
-        raise NoStableLimit(
-            f"largest projection cluster has {len(members)} members, "
-            f"needs {opts.window}",
-            diagnostics=diag,
-        )
-
-    eps = _resolve_eps(h, opts.eps_kernel)
-    if opts.strict_cuts:
-        spectral_projection(h, (0.5, 1.0), eps_kernel=eps, strict=True)
-    e, ginv = _inverse_cut(h, eps)
+    h, ginv = diag.h, diag.inverse_cut
     one = state.algebra.identity()
 
     residuals: dict[str, float] = {}
-    for r in range(check_horizon + 1):
-        value = (e @ seq[r] @ e).real_trace()
-        residuals[f"uniform_r{r}"] = 4.0 * lam - value
-    mass = (rho @ (one - e)).real_trace()
+    for r, s_r in enumerate(seq):
+        residuals[f"uniform_r{r}"] = 4.0 * lam - (e @ s_r @ e).real_trace()
+    mass = (state.rho @ (one - e)).real_trace()
     residuals["mass_2_over_lambda"] = (2.0 / lam) * a.integral() - mass
     residuals["h_range_low"] = min_eigenvalue(h)
     residuals["h_range_high"] = 1.0 - max_eigenvalue(h) + eps
-    ginv_norm = op_norm(ginv)
-    residuals["inverse_cut_norm"] = 2.0 - ginv_norm
+    residuals["inverse_cut_norm"] = 2.0 - diag.inverse_cut_norm
     residuals["inverse_cut_identity"] = -op_norm(
         HermitianOperator._exact((ginv @ h).blocks) - e
-    )
-    passed = all(v >= -tol for v in residuals.values())
-
-    diag = LimitDiagnostics(
-        distances=distances,
-        cluster=cluster_ns,
-        window=opts.window,
-        cluster_tol=opts.cluster_tol,
-        stalled_solves=stalled_solves,
-        h=h,
-        inverse_cut=ginv,
-        inverse_cut_norm=ginv_norm,
     )
     cert = Certificate(
         projection=e,
@@ -877,13 +845,13 @@ def uniform_projection(
         kind="uniform",
         order=horizon,
         residuals=residuals,
-        passed=passed,
+        passed=all(v >= -tol for v in residuals.values()),
         tolerances={"residual": tol, "eps_kernel": eps},
         info={
             "exceptional_mass": mass,
-            "cluster_size": float(len(members)),
-            "check_horizon": float(check_horizon),
-            "stalled_solves": float(stalled_solves),
+            "cluster_size": float(len(diag.cluster)),
+            "check_horizon": float(len(seq) - 1),
+            "stalled_solves": float(diag.stalled_solves),
         },
     )
     return cert, diag
@@ -903,37 +871,27 @@ def yeadon_tracial(
 
     Requires the tracial weight; the density is the identity, the
     integral is the plain trace, and the L1 action coincides with the
-    map itself.  Residuals: ``pointwise_r`` is the least eigenvalue of
-    ``e_H (lambda - S_r(a)) e_H`` for r <= horizon, ``uniform_r`` the
-    least eigenvalue of ``e (2 lambda - S_r(a)) e`` up to the check
-    horizon, and both mass slacks use ``Tr(1 - e)``.
+    map itself.  The projection comes from the same limit construction
+    as ``uniform_projection``.  Residuals: ``pointwise_r`` is the least
+    eigenvalue of ``e_H (lambda - S_r(a)) e_H`` for r <= horizon,
+    ``uniform_r`` the least eigenvalue of ``e (2 lambda - S_r(a)) e`` up
+    to the check horizon, and both mass slacks use ``Tr(1 - e)``.
     """
 
     if not weight.tracial:
         raise NotTracial("the tracial certificate needs the tracial weight")
     if weight.algebra.signature != algebra.signature:
         raise InputError("weight and algebra disagree")
-    if T.algebra.signature != algebra.signature:
-        raise InputError("map and algebra disagree")
-    if horizon < 1:
-        raise InputError(f"horizon must be >= 1, got {horizon}")
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise InputError(f"threshold lambda must be positive, got {lam}")
-    algebra.check_member(a.rep)
-    if not isinstance(a.rep, HermitianOperator):
-        raise InputError("the averaged element must be self-adjoint")
-    if min_eigenvalue(a.rep) < -PSD_TOL * max(1.0, op_norm(a.rep)):
-        raise InputError("the averaged element must be positive")
+    _validate_problem(a, lam, horizon, algebra, T.algebra)
     if tol is None:
         tol = _residual_tol(a, lam)
 
     one = algebra.identity()
-    adjoint = T.trace_adjoint()
     failures = []
     c1 = max_eigenvalue(T.apply(one) - one)
     if c1 > 1e-9:
         failures.append(f"contraction defect {c1:.3e}")
-    c3 = max_eigenvalue(adjoint.apply(one) - one)
+    c3 = max_eigenvalue(T.trace_adjoint().apply(one) - one)
     if c3 > 1e-9:
         failures.append(f"trace increase {c3:.3e}")
     if T.pedigree is not Pedigree.CONSTRUCTED_POSITIVE:
@@ -943,54 +901,7 @@ def yeadon_tracial(
     if failures:
         raise ConditionsNotMet("; ".join(failures))
 
-    check_horizon = (
-        4 * horizon if opts.check_horizon is None else int(opts.check_horizon)
-    )
-    if check_horizon < horizon:
-        raise InputError("check horizon must cover the solve horizon")
-    seq = cesaro_reps(T, a.rep, max(horizon, check_horizon))
-    all_blocks = []
-    for r in range(horizon + 1):
-        diff = seq[r] - (lam * one)
-        all_blocks.append(HermitianOperator._exact((float(r + 1) * diff).blocks))
-
-    use_adjoint = adjoint if opts.shift_moves else None
-    es: list[HermitianOperator] = []
-    warm: KPoint | None = None
-    stalled_solves = 0
-    for n in range(1, horizon + 1):
-        sol = _solve_from_blocks(
-            algebra, tuple(all_blocks[: n + 1]), opts, warm, use_adjoint
-        )
-        stalled_solves += int(sol.stalled)
-        es.append(extract_projection(sol, opts.eps_kernel, opts.strict_cuts))
-        warm = KPoint(sol.point.xs + (algebra.zeros(),))
-
-    members, dist = _cluster_tail(es, opts.cluster_tol)
-    h_blocks = [
-        np.mean([es[i].blocks[c] for i in members], axis=0)
-        for c in range(len(algebra.signature))
-    ]
-    h = HermitianOperator._exact(h_blocks)
-    if len(members) < opts.window:
-        center = members[-1]
-        diag = LimitDiagnostics(
-            distances=tuple(float(dist[center, j]) for j in range(len(es))),
-            cluster=tuple(i + 1 for i in members),
-            window=opts.window,
-            cluster_tol=opts.cluster_tol,
-            stalled_solves=stalled_solves,
-            h=h,
-        )
-        raise NoStableLimit(
-            f"largest projection cluster has {len(members)} members, "
-            f"needs {opts.window}",
-            diagnostics=diag,
-        )
-
-    eps = _resolve_eps(h, opts.eps_kernel)
-    e, ginv = _inverse_cut(h, eps)
-    e_last = es[-1]
+    seq, e_last, e, eps, diag = _limit_cut(a, lam, horizon, algebra, one, T, opts)
 
     residuals: dict[str, float] = {}
     for r in range(horizon + 1):
@@ -998,8 +909,8 @@ def yeadon_tracial(
         residuals[f"pointwise_r{r}"] = min_eigenvalue(
             compress(e_last, HermitianOperator._exact(gap_r.blocks))
         )
-    for r in range(check_horizon + 1):
-        gap_r = (2.0 * lam) * one - seq[r]
+    for r, s_r in enumerate(seq):
+        gap_r = (2.0 * lam) * one - s_r
         residuals[f"uniform_r{r}"] = min_eigenvalue(
             compress(e, HermitianOperator._exact(gap_r.blocks))
         )
@@ -1010,20 +921,19 @@ def yeadon_tracial(
     residuals["mass_2_over_lambda"] = (2.0 / lam) * trace_a - (
         one - e
     ).real_trace()
-    residuals["inverse_cut_norm"] = 2.0 - op_norm(ginv)
-    passed = all(v >= -tol for v in residuals.values())
+    residuals["inverse_cut_norm"] = 2.0 - diag.inverse_cut_norm
     return Certificate(
         projection=e,
         lam=lam,
         kind="tracial",
         order=horizon,
         residuals=residuals,
-        passed=passed,
+        passed=all(v >= -tol for v in residuals.values()),
         tolerances={"residual": tol, "eps_kernel": eps},
         info={
-            "cluster_size": float(len(members)),
-            "check_horizon": float(check_horizon),
-            "stalled_solves": float(stalled_solves),
+            "cluster_size": float(len(diag.cluster)),
+            "check_horizon": float(len(seq) - 1),
+            "stalled_solves": float(diag.stalled_solves),
         },
     )
 
@@ -1057,6 +967,55 @@ def _average_reps(
     return out
 
 
+def _weak_type_verdict(
+    e: HermitianOperator,
+    x: LOneElement | HermitianOperator,
+    lam: float,
+    c: float,
+    p: float,
+    state: State,
+    ext: ExtendedMap,
+    horizon: int,
+    tol: float | None,
+    operator_bound: bool,
+) -> bool:
+    """The mass condition, then a bound on every compressed average.
+
+    ``operator_bound`` asks for ``e S_n(x) e <= lambda 1`` as operators;
+    otherwise the p-norm of ``e S_n(x) e`` must stay below lambda.
+    """
+
+    if not math.isfinite(lam) or lam <= 0.0:
+        raise InputError(f"threshold lambda must be positive, got {lam}")
+    if c <= 0.0:
+        raise InputError(f"constant c must be positive, got {c}")
+    if horizon < 0:
+        raise InputError(f"horizon must be >= 0, got {horizon}")
+    state.algebra.check_member(e)
+    _check_projection(e)
+    def norm(y: HermitianOperator) -> float:
+        # trace-scale Schatten norm for L1 inputs, state-weighted otherwise
+        if isinstance(x, LOneElement):
+            return schatten_norm(y, p)
+        return kosaki_norm(y, p, state)
+
+    norm_x = norm(x.rep if isinstance(x, LOneElement) else x)
+    if tol is None:
+        tol = RESIDUAL_RTOL * max(1.0, lam, norm_x)
+    one = state.algebra.identity()
+    mass = (state.rho @ (one - e)).real_trace()
+    if mass > (c * norm_x / lam) ** p + tol:
+        return False
+    for rep in _average_reps(x, p, ext, horizon):
+        comp = compress(e, HermitianOperator._exact(rep.blocks))
+        if operator_bound:
+            if min_eigenvalue((lam * one) - comp) < -tol:
+                return False
+        elif norm(comp) > lam + tol:
+            return False
+    return True
+
+
 def weak_type_predicate(
     e: HermitianOperator,
     x: LOneElement | HermitianOperator,
@@ -1077,29 +1036,7 @@ def weak_type_predicate(
     state-weighted p-norm.
     """
 
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise InputError(f"threshold lambda must be positive, got {lam}")
-    if c <= 0.0:
-        raise InputError(f"constant c must be positive, got {c}")
-    if horizon < 0:
-        raise InputError(f"horizon must be >= 0, got {horizon}")
-    state.algebra.check_member(e)
-    _check_projection(e)
-    if isinstance(x, LOneElement):
-        norm_x = schatten_norm(x.rep, p)
-    else:
-        norm_x = kosaki_norm(x, p, state)
-    if tol is None:
-        tol = RESIDUAL_RTOL * max(1.0, lam, norm_x)
-    one = state.algebra.identity()
-    mass = (state.rho @ (one - e)).real_trace()
-    if mass > (c * norm_x / lam) ** p + tol:
-        return False
-    for rep in _average_reps(x, p, ext, horizon):
-        comp = compress(e, HermitianOperator._exact(rep.blocks))
-        if min_eigenvalue((lam * one) - comp) < -tol:
-            return False
-    return True
+    return _weak_type_verdict(e, x, lam, c, p, state, ext, horizon, tol, True)
 
 
 def pre_weak_type_predicate(
@@ -1120,33 +1057,7 @@ def pre_weak_type_predicate(
     Schatten norm for L1 inputs, state-weighted norm for algebra inputs).
     """
 
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise InputError(f"threshold lambda must be positive, got {lam}")
-    if c <= 0.0:
-        raise InputError(f"constant c must be positive, got {c}")
-    if horizon < 0:
-        raise InputError(f"horizon must be >= 0, got {horizon}")
-    state.algebra.check_member(e)
-    _check_projection(e)
-    if isinstance(x, LOneElement):
-        norm_x = schatten_norm(x.rep, p)
-    else:
-        norm_x = kosaki_norm(x, p, state)
-    if tol is None:
-        tol = RESIDUAL_RTOL * max(1.0, lam, norm_x)
-    one = state.algebra.identity()
-    mass = (state.rho @ (one - e)).real_trace()
-    if mass > (c * norm_x / lam) ** p + tol:
-        return False
-    for rep in _average_reps(x, p, ext, horizon):
-        comp = compress(e, HermitianOperator._exact(rep.blocks))
-        if isinstance(x, LOneElement):
-            value = schatten_norm(comp, p)
-        else:
-            value = kosaki_norm(comp, p, state)
-        if value > lam + tol:
-            return False
-    return True
+    return _weak_type_verdict(e, x, lam, c, p, state, ext, horizon, tol, False)
 
 
 def type_infinity_check(

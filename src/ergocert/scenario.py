@@ -355,6 +355,12 @@ class Scenario:
             if tolerances.get(key) is not None:
                 v = _as_int(tolerances[key], f"tolerances.{key}")
                 _require(v >= 1, f"tolerances.{key} must be >= 1")
+        window = tolerances.get("window")
+        # a projection cluster never has more members than the horizon has orders
+        _require(
+            window is None or window <= horizon,
+            f"tolerances.window {window} exceeds the horizon {horizon}",
+        )
 
         seed = d.get("seed")
         if seed is not None:

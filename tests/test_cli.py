@@ -74,6 +74,15 @@ def test_verify_malformed_partition_exits_two(tmp_path, capsys):
     assert "NotSubalgebra" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", [{}, {"mode": "tracial_weight", "state": None}])
+def test_verify_overflowing_lambda_exits_two(tmp_path, capsys, recwarn, mode):
+    sc = write_scenario(tmp_path, **mode, **{"lambda": 1e308})
+    assert main(["verify", sc]) == 2
+    err = capsys.readouterr().err
+    assert "InputError" in err and "lambda" in err and "overflow" in err
+    assert not recwarn.list
+
+
 def test_verify_strict_unstable_limit_exits_three(tmp_path, capsys):
     sc = write_scenario(tmp_path, horizon=3)
     assert main(["verify", sc, "--strict", "--out", str(tmp_path / "r.json")]) == 3

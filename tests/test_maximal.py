@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ergocert import maximal
 from ergocert.algebra import (
     Algebra,
     LOneElement,
@@ -13,8 +14,14 @@ from ergocert.algebra import (
     random_state,
     spatial_derivative,
 )
-from ergocert.dynamics import PositiveMapModel, extend_l1, random_certified_map
+from ergocert.dynamics import (
+    PositiveMapModel,
+    cesaro_reps,
+    extend_l1,
+    random_certified_map,
+)
 from ergocert.errors import (
+    AmbiguousSpectralCut,
     ConditionsNotMet,
     InputError,
     NonConvergence,
@@ -28,7 +35,8 @@ from ergocert.maximal import (
     KPoint,
     SolveOptions,
     _ascend_block,
-    _payoff_blocks,
+    _payoffs,
+    _point_objective,
     _swap_screen,
     commutative_oracle,
     diagonal_instance,
@@ -45,7 +53,12 @@ from ergocert.maximal import (
 )
 from ergocert.suite import suite_instance
 
-from helpers import perturbed_eigh, reference_dual_upper_bound, reference_swap_screen
+from helpers import (
+    perturbed_eigh,
+    reference_dual_upper_bound,
+    reference_swap_screen,
+    shift_point,
+)
 
 HSETTINGS = settings(max_examples=15, deadline=None, derandomize=True)
 
@@ -97,6 +110,10 @@ def _random_kernel(rng, d):
         mu = mu @ P
     mu /= mu.sum()
     return P, mu
+
+
+def _state_payoffs(a, lam, n, state, ext):
+    return _payoffs(cesaro_reps(ext.l1_action, a.rep, n), lam, state.rho)
 
 
 def _certified_instance(seed, dims=(2, 3), trace=3.0):
@@ -267,14 +284,54 @@ def test_monotone_ascent_per_sweep():
     for r in range(4):
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         bs.append(0.5 * (g + g.conj().T))
-    opts = SolveOptions()
     values = []
     for budget in range(1, 9):
         xs = [np.zeros((d, d), dtype=np.complex128) for _ in bs]
-        _ascend_block(bs, xs, opts, budget, True)
+        _ascend_block(bs, xs, budget, True)
         values.append(sum(float(np.vdot(b, x).real) for b, x in zip(bs, xs)))
     for lo, hi in zip(values, values[1:]):
         assert hi >= lo - 1e-12
+
+
+def _shift_compared(sol, adjoint):
+    # g(x) >= g(shift x) at every feasible shifted point: the comparison
+    # the mass bound's derivation makes against the returned maximizer;
+    # returns whether the shifted point was feasible, so compared
+    shifted = shift_point(adjoint, sol.point.xs)
+    neg, excess = KPoint(tuple(shifted)).feasibility_defect()
+    if neg < -1e-11 or excess > 1e-11:
+        return False
+    scale = max(1.0, max(op_norm(b) for b in sol.blocks_B))
+    assert _point_objective(sol.blocks_B, shifted) <= sol.objective + 1e-9 * scale
+    return True
+
+
+def test_shift_never_improves_a_maximizer(monkeypatch):
+    solutions = []
+    real = maximal._solve_from_blocks
+
+    def recording(*args):
+        solutions.append(real(*args))
+        return solutions[-1]
+
+    checked = 0
+    for seed in range(12):
+        inst = suite_instance(seed)
+        adjoint = inst.ext.adjoint_action
+        for n in range(1, 5):
+            sol = solve_maximizer(inst.a, inst.lam, n, inst.state, inst.ext)
+            checked += _shift_compared(sol, adjoint)
+        solutions.clear()
+        with monkeypatch.context() as m:
+            m.setattr(maximal, "_solve_from_blocks", recording)
+            try:
+                uniform_projection(inst.a, inst.lam, 8, inst.state, inst.ext)
+            except NoStableLimit:
+                pass
+        assert len(solutions) == 8
+        for sol in solutions:
+            checked += _shift_compared(sol, adjoint)
+    assert checked > 0
 
 
 def test_weak_duality_and_feasibility():
@@ -315,29 +372,29 @@ def test_stacked_kernels_match_per_operator_reference():
     # corpus payoffs: the prefixes of an order-20 sequence give m = 1 ... 21
     for seed in (0, 1, 2):
         inst = suite_instance(seed)
-        blocks, _ = _payoff_blocks(inst.a, inst.lam, 20, inst.state, inst.ext)
+        blocks = _state_payoffs(inst.a, inst.lam, 20, inst.state, inst.ext)
         for m in range(1, 22):
             _assert_stacked_kernels_match(blocks[:m])
     for seed, dims in ((5, (2, 1)), (6, (3,)), (7, (1, 1, 1))):
         _, state, a, ext = _certified_instance(seed, dims=dims)
         for lam in (0.5, 1.0):
-            blocks, _ = _payoff_blocks(a, lam, 6, state, ext)
+            blocks = _state_payoffs(a, lam, 6, state, ext)
             _assert_stacked_kernels_match(blocks)
     # 20-dim blocks: the stacked calls run in several slices
     _, state, a, ext = _certified_instance(8, dims=(20,), trace=10.0)
-    blocks, _ = _payoff_blocks(a, 0.5, 11, state, ext)
+    blocks = _state_payoffs(a, 0.5, 11, state, ext)
     _assert_stacked_kernels_match(blocks)
     rng = np.random.default_rng(21)
     for _ in range(3):
         P, mu = _random_kernel(rng, 3)
         _, state, a, ext = diagonal_instance(rng.uniform(0.0, 2.5, 3), mu, P)
-        blocks, _ = _payoff_blocks(a, 1.0, 8, state, ext)
+        blocks = _state_payoffs(a, 1.0, 8, state, ext)
         _assert_stacked_kernels_match(blocks)
 
 
 def test_dual_reconstruction_guard_fires(monkeypatch):
     _, state, a, ext = _certified_instance(3)
-    blocks, _ = _payoff_blocks(a, 1.0, 4, state, ext)
+    blocks = _state_payoffs(a, 1.0, 4, state, ext)
     monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh(1e-6))
     with pytest.raises(NonConvergence):
         dual_upper_bound(blocks)
@@ -494,6 +551,25 @@ def test_uniform_check_horizon_must_cover():
         uniform_projection(a, 1.0, 6, state, ext, SolveOptions(check_horizon=2))
     with pytest.raises(InputError):
         uniform_projection(a, 1.0, 0, state, ext)
+
+
+def test_strict_cut_at_one_half_raises_in_both_limit_modes(monkeypatch):
+    # every extracted projection replaced by 1/2, so the limit h is 1/2
+    def half(sol, eps_kernel=None, strict=False):
+        return 0.5 * HermitianOperator.identity(sol.point.xs[0].dims)
+
+    monkeypatch.setattr(maximal, "extract_projection", half)
+    strict = SolveOptions(strict_cuts=True)
+    _, state, a, ext = _certified_instance(37)
+    with pytest.raises(AmbiguousSpectralCut):
+        uniform_projection(a, 1.0, 6, state, ext, strict)
+    algebra = Algebra((2,))
+    weight = Weight.tracial_weight(algebra)
+    model = PositiveMapModel.identity(algebra)
+    a_tr = LOneElement(HermitianOperator._exact((0.5 * algebra.identity()).blocks))
+    yeadon_tracial(a_tr, 1.0, 6, algebra, weight, model)
+    with pytest.raises(AmbiguousSpectralCut):
+        yeadon_tracial(a_tr, 1.0, 6, algebra, weight, model, strict)
 
 
 # -- tracial reduction -------------------------------------------------------------

@@ -168,6 +168,7 @@ def test_scenario_round_trip_through_dict():
         {"tolerances": {"window": 0}},
         {"surprise": True},
         {"kind": "report"},
+        {"tolerances": {"window": 9}},
     ],
 )
 def test_scenario_validation_rejects(mutation):
