@@ -309,6 +309,13 @@ def check_conditions(
 ) -> ConditionReport:
     """Certify conditions (1)-(3); returns verdicts, never raises."""
 
+    return _condition_report(T, state.rho, samples, tol)
+
+
+def _condition_report(
+    T: PositiveMapModel, density: HermitianOperator, samples: int, tol: float
+) -> ConditionReport:
+    # condition (3) for the weight Tr(density .), a state's or the trace's
     one = T.algebra.identity()
     contraction_defect = max_eigenvalue(T.apply(one) - one)
 
@@ -320,8 +327,8 @@ def check_conditions(
         positivity_worst = _sampled_positivity_worst(T, samples)
         positivity_ok = positivity_worst >= -tol
 
-    pushed = T.trace_adjoint().apply(state.rho)
-    trace_decrease_defect = max_eigenvalue(pushed - state.rho)
+    pushed = T.trace_adjoint().apply(density)
+    trace_decrease_defect = max_eigenvalue(pushed - density)
 
     return ConditionReport(
         contraction_ok=bool(contraction_defect <= tol),
@@ -441,20 +448,24 @@ def cesaro_reps(model: PositiveMapModel, rep: BlockMatrix, n: int) -> list[Block
     if n < 0:
         raise InputError(f"horizon must be >= 0, got {n}")
     model.algebra.check_member(rep)
-    power = rep
-    acc = rep
-    out = [rep]
+    return list(_averages(model.apply, rep, n))
+
+
+def _averages(step, x: BlockMatrix, n: int):
+    """Yield S_0(x), ..., S_n(x) with S_r = (1/(r+1)) sum_{k<=r} step^k(x)."""
+
+    power = x
+    acc = x
+    yield x
     for r in range(1, n + 1):
-        power = model.apply(power)
+        power = step(power)
         acc = acc + power
-        out.append((1.0 / (r + 1)) * acc)
-    return out
+        yield (1.0 / (r + 1)) * acc
 
 
 def cesaro_sequence(ext: ExtendedMap, a: LOneElement, n: int) -> list[LOneElement]:
     """S_0(a), ..., S_n(a) with S_r = (1/(r+1)) sum_{k<=r} T1^k(a)."""
 
-    ext.state.algebra.check_member(a.rep)
     return [LOneElement(rep) for rep in cesaro_reps(ext.l1_action, a.rep, n)]
 
 

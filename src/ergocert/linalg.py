@@ -249,6 +249,11 @@ def eigh_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Frobenius norm per matrix, without a squared copy of the stack
     flat = recon.view(np.float64).reshape(len(recon), -1)
     defect = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+    big = np.isinf(defect)
+    if big.any():
+        # the sum of squares overflowed: scale by the largest entry first
+        peak = np.max(np.abs(flat[big]), axis=1, keepdims=True)
+        defect[big] = peak[:, 0] * np.linalg.norm(flat[big] / peak, axis=1)
     scale = np.maximum(1.0, np.max(np.abs(w), axis=-1))
     if not np.all(defect <= RECONSTRUCTION_RTOL * scale):
         raise NonConvergence("eigendecomposition failed reconstruction check")

@@ -25,15 +25,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
 from .algebra import Algebra, LOneElement, State, Weight, kosaki_norm
 from .dynamics import (
+    DEFAULT_CONDITION_TOL,
+    DEFAULT_SAMPLES,
     ExtendedMap,
-    Pedigree,
     PositiveMapModel,
-    _sampled_positivity_worst,
+    _averages,
+    _condition_report,
     cesaro_reps,
 )
 from .errors import (
@@ -49,6 +52,7 @@ from .linalg import (
     PSD_TOL,
     BlockMatrix,
     HermitianOperator,
+    apply_spectral,
     compress,
     eigh,
     eigh_stack,
@@ -441,6 +445,16 @@ def _validate_problem(
         raise InputError(f"the averaged element must be positive, min eig {lo:.3e}")
 
 
+def _state_problem(
+    a: LOneElement, lam: float, n: int, state: State, ext: ExtendedMap
+) -> tuple[list[BlockMatrix], tuple[HermitianOperator, ...]]:
+    """The validated averages S_0(a), ..., S_n(a) and their payoffs."""
+
+    _validate_problem(a, lam, n, state.algebra, ext.state.algebra)
+    seq = cesaro_reps(ext.l1_action, a.rep, n)
+    return seq, _payoffs(seq, lam, state.rho)
+
+
 def objective_g(
     point: KPoint,
     a: LOneElement,
@@ -450,9 +464,7 @@ def objective_g(
 ) -> float:
     """Value of g at a feasible point, recomputed from scratch."""
 
-    n = point.order
-    _validate_problem(a, lam, n, state.algebra, ext.state.algebra)
-    blocks = _payoffs(cesaro_reps(ext.l1_action, a.rep, n), lam, state.rho)
+    _, blocks = _state_problem(a, lam, point.order, state, ext)
     for x in point.xs:
         state.algebra.check_member(x)
     return _point_objective(blocks, list(point.xs))
@@ -478,8 +490,7 @@ def solve_maximizer(
     sweeps to a literal fixed point of the block update.
     """
 
-    _validate_problem(a, lam, n, state.algebra, ext.state.algebra)
-    blocks = _payoffs(cesaro_reps(ext.l1_action, a.rep, n), lam, state.rho)
+    _, blocks = _state_problem(a, lam, n, state, ext)
     return _solve_from_blocks(state.algebra, blocks, opts, warm)
 
 
@@ -626,6 +637,19 @@ def _residual_tol(a: LOneElement, lam: float) -> float:
     return RESIDUAL_RTOL * max(1.0, a.trace_norm(), lam)
 
 
+def _domination_slacks(
+    e: HermitianOperator, ceiling: HermitianOperator, seq: list[BlockMatrix], prefix: str
+) -> dict[str, float]:
+    """``prefix + str(r)``: least eigenvalue of ``e (ceiling - S_r(a)) e``."""
+
+    return {
+        f"{prefix}{r}": min_eigenvalue(
+            compress(e, HermitianOperator._exact((ceiling - s_r).blocks))
+        )
+        for r, s_r in enumerate(seq)
+    }
+
+
 def pointwise_certificate(
     a: LOneElement,
     lam: float,
@@ -643,19 +667,13 @@ def pointwise_certificate(
     The sharper one-over-lambda mass slack is informational only.
     """
 
-    _validate_problem(a, lam, n, state.algebra, ext.state.algebra)
+    seq, blocks = _state_problem(a, lam, n, state, ext)
     if tol is None:
         tol = _residual_tol(a, lam)
-    sol = solve_maximizer(a, lam, n, state, ext, opts)
+    sol = _solve_from_blocks(state.algebra, blocks, opts, None)
     e = extract_projection(sol, opts.eps_kernel, opts.strict_cuts)
-    seq = cesaro_reps(ext.l1_action, a.rep, n)
     one = state.algebra.identity()
-    residuals: dict[str, float] = {}
-    for r, s_r in enumerate(seq):
-        gap_r = (lam * state.rho) - s_r
-        residuals[f"pointwise_r{r}"] = min_eigenvalue(
-            compress(e, HermitianOperator._exact(gap_r.blocks))
-        )
+    residuals = _domination_slacks(e, lam * state.rho, seq, "pointwise_r")
     mass = (state.rho @ (one - e)).real_trace()
     residuals["mass_2_over_lambda"] = (2.0 / lam) * a.integral() - mass
     info = {
@@ -700,30 +718,6 @@ def _cluster_tail(
         if len(members) >= len(best):
             best = members
     return best, dist
-
-
-def _inverse_cut(
-    h: HermitianOperator, eps: float
-) -> tuple[HermitianOperator, HermitianOperator]:
-    """Projection onto (1/2, 1] of h and the matching inverse-cut operator.
-
-    Both are built from the same cached eigenbasis, so the identity
-    ``ginv h = e`` holds to roundoff and ``||ginv|| <= 1 / (1/2 + eps)``.
-    """
-
-    spec = eigh(h)
-    proj_blocks = []
-    inv_blocks = []
-    for w, u in zip(spec.eigenvalues, spec.vectors):
-        mask = (w > 0.5 + eps) & (w <= 1.0 + eps)
-        cols = u[:, mask]
-        proj_blocks.append(cols @ cols.conj().T)
-        vals = np.where(mask, np.divide(1.0, w, where=mask, out=np.ones_like(w)), 0.0)
-        inv_blocks.append((u * vals) @ u.conj().T)
-    return (
-        HermitianOperator._exact(proj_blocks),
-        HermitianOperator._exact(inv_blocks),
-    )
 
 
 def _limit_cut(
@@ -791,9 +785,12 @@ def _limit_cut(
         )
 
     eps = _resolve_eps(h, opts.eps_kernel)
-    if opts.strict_cuts:
-        spectral_projection(h, (0.5, 1.0), eps_kernel=eps, strict=True)
-    e, ginv = _inverse_cut(h, eps)
+    e = spectral_projection(h, (0.5, 1.0), eps_kernel=eps, strict=opts.strict_cuts)
+    # h inverted on the range of e (same interval, same cached eigenbasis),
+    # so ginv h = e holds to roundoff and ||ginv|| <= 1 / (1/2 + eps)
+    ginv = apply_spectral(
+        h, lambda w: np.where((w > 0.5 + eps) & (w <= 1.0 + eps), 1.0 / w, 0.0)
+    )
     diag = replace(diag, inverse_cut=ginv, inverse_cut_norm=op_norm(ginv))
     return seq, es[-1], e, eps, diag
 
@@ -887,33 +884,22 @@ def yeadon_tracial(
         tol = _residual_tol(a, lam)
 
     one = algebra.identity()
+    # the absorption conditions for the trace, as extend_l1 checks them for a state
+    report = _condition_report(T, one, DEFAULT_SAMPLES, DEFAULT_CONDITION_TOL)
     failures = []
-    c1 = max_eigenvalue(T.apply(one) - one)
-    if c1 > 1e-9:
-        failures.append(f"contraction defect {c1:.3e}")
-    c3 = max_eigenvalue(T.trace_adjoint().apply(one) - one)
-    if c3 > 1e-9:
-        failures.append(f"trace increase {c3:.3e}")
-    if T.pedigree is not Pedigree.CONSTRUCTED_POSITIVE:
-        worst = _sampled_positivity_worst(T, 40)
-        if worst < -1e-9:
-            failures.append(f"sampled positivity defect {worst:.3e}")
+    if not report.contraction_ok:
+        failures.append(f"contraction defect {report.contraction_defect:.3e}")
+    if not report.trace_decrease_ok:
+        failures.append(f"trace increase {report.trace_decrease_defect:.3e}")
+    if not report.positivity_ok:
+        failures.append(f"sampled positivity defect {report.positivity_worst:.3e}")
     if failures:
         raise ConditionsNotMet("; ".join(failures))
 
     seq, e_last, e, eps, diag = _limit_cut(a, lam, horizon, algebra, one, T, opts)
 
-    residuals: dict[str, float] = {}
-    for r in range(horizon + 1):
-        gap_r = (lam * one) - seq[r]
-        residuals[f"pointwise_r{r}"] = min_eigenvalue(
-            compress(e_last, HermitianOperator._exact(gap_r.blocks))
-        )
-    for r, s_r in enumerate(seq):
-        gap_r = (2.0 * lam) * one - s_r
-        residuals[f"uniform_r{r}"] = min_eigenvalue(
-            compress(e, HermitianOperator._exact(gap_r.blocks))
-        )
+    residuals = _domination_slacks(e_last, lam * one, seq[: horizon + 1], "pointwise_r")
+    residuals.update(_domination_slacks(e, (2.0 * lam) * one, seq, "uniform_r"))
     trace_a = a.integral()
     residuals["pointwise_mass"] = (2.0 / lam) * trace_a - (
         one - e_last
@@ -945,26 +931,6 @@ def _check_projection(e: HermitianOperator, tol: float = 1e-9) -> None:
     defect = op_norm(HermitianOperator._exact((e @ e).blocks) - e)
     if defect > tol:
         raise InputError(f"not a projection: idempotency defect {defect:.3e}")
-
-
-def _average_reps(
-    x: LOneElement | HermitianOperator,
-    p: float,
-    ext: ExtendedMap,
-    horizon: int,
-) -> list[BlockMatrix]:
-    """Averages of x under the exponent-appropriate action."""
-
-    if isinstance(x, LOneElement):
-        return cesaro_reps(ext.l1_action, x.rep, horizon)
-    out = [x]
-    power: HermitianOperator = x
-    acc: HermitianOperator = x
-    for r in range(1, horizon + 1):
-        power = ext.lp_apply(power, p)
-        acc = acc + power
-        out.append((1.0 / (r + 1)) * acc)
-    return out
 
 
 def _weak_type_verdict(
@@ -1006,7 +972,11 @@ def _weak_type_verdict(
     mass = (state.rho @ (one - e)).real_trace()
     if mass > (c * norm_x / lam) ** p + tol:
         return False
-    for rep in _average_reps(x, p, ext, horizon):
+    if isinstance(x, LOneElement):
+        averages = cesaro_reps(ext.l1_action, x.rep, horizon)
+    else:
+        averages = _averages(lambda y: ext.lp_apply(y, p), x, horizon)
+    for rep in averages:
         comp = compress(e, HermitianOperator._exact(rep.blocks))
         if operator_bound:
             if min_eigenvalue((lam * one) - comp) < -tol:
@@ -1082,15 +1052,9 @@ def type_infinity_check(
         tests.append(HermitianOperator._exact(blocks))
     for x in tests:
         bound = op_norm(x) + 1e-9
-        power = x
-        acc = x
-        for r in range(1, horizon + 1):
-            applied = T.apply(power)
-            power = HermitianOperator._exact(applied.blocks)
-            acc = acc + power
-            s_r = (1.0 / (r + 1)) * acc
-            if op_norm(s_r) > bound:
-                return False
+        averages = islice(_averages(T.apply, x, horizon), 1, None)
+        if any(op_norm(s_r) > bound for s_r in averages):
+            return False
     return True
 
 

@@ -53,6 +53,9 @@ MAP_KINDS = ("kraus", "markov_tensor", "cond_exp", "explicit_superoperator")
 INPUT_KINDS = ("blocks", "embed", "random")
 MODES = ("state", "tracial_weight")
 TOLERANCE_KEYS = ("residual", "eps_kernel", "cluster_tol", "window", "check_horizon")
+# largest magnitude of a matrix entry, a Kraus weight, a weight in mu or an
+# input trace: products and sums of a few such numbers stay in the float range
+_MAX_ENTRY = 1e100
 
 # inline lists only below this rendered width; pure function of content
 _INLINE_WIDTH = 88
@@ -193,6 +196,8 @@ def decode_matrix(data: Any) -> np.ndarray:
     arr = np.array(rows, dtype=np.complex128)
     if not np.isfinite(arr.view(np.float64)).all():
         raise ScenarioError("matrix has non-finite entries")
+    if np.abs(arr.view(np.float64)).max() > _MAX_ENTRY:
+        raise ScenarioError(f"matrix entry magnitudes must be at most {_MAX_ENTRY:.0e}")
     return arr
 
 
@@ -228,6 +233,12 @@ def _as_pos_float(v: Any, what: str) -> float:
     )
     f = float(v)
     _require(math.isfinite(f) and f > 0.0, f"{what} must be positive and finite")
+    return f
+
+
+def _as_entry(v: Any, what: str) -> float:
+    f = _as_pos_float(v, what)
+    _require(f <= _MAX_ENTRY, f"{what} must be at most {_MAX_ENTRY:.0e}")
     return f
 
 
@@ -335,8 +346,11 @@ class Scenario:
                 set(input_spec) == {"kind", "seed", "trace"},
                 "input random takes exactly the fields: seed, trace",
             )
-            _as_int(input_spec["seed"], "input.seed")
-            _as_pos_float(input_spec["trace"], "input.trace")
+            _require(
+                _as_int(input_spec["seed"], "input.seed") >= 0,
+                "input.seed must be >= 0",
+            )
+            _as_entry(input_spec["trace"], "input.trace")
 
         lam = _as_pos_float(d.get("lambda"), "lambda")
         n_max = _as_int(d.get("n_max"), "n_max")
@@ -409,7 +423,7 @@ def _check_kraus_spec(spec: dict) -> None:
             "kraus weights must match ops, one per operator",
         )
         for w in weights:
-            _as_pos_float(w, "kraus weight")
+            _as_entry(w, "kraus weight")
 
 
 def _check_markov_spec(spec: dict) -> None:
@@ -429,8 +443,13 @@ def _check_markov_spec(spec: dict) -> None:
     _require(
         isinstance(mu, list)
         and mu
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in mu),
-        "mu must be a nonempty list of numbers",
+        and all(
+            isinstance(x, (int, float))
+            and not isinstance(x, bool)
+            and abs(x) <= _MAX_ENTRY
+            for x in mu
+        ),
+        f"mu must be a nonempty list of numbers at most {_MAX_ENTRY:.0e} in magnitude",
     )
 
 

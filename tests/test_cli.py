@@ -83,6 +83,20 @@ def test_verify_overflowing_lambda_exits_two(tmp_path, capsys, recwarn, mode):
     assert not recwarn.list
 
 
+def test_verify_huge_lambda_exits_zero(tmp_path, recwarn):
+    # payoffs near -1e200 on a non-commuting instance: every eigenvalue
+    # reconstruction check runs at that scale
+    sc = write_scenario(
+        tmp_path,
+        state=[[[0.6, 0.0], [0.0, 0.4]]],
+        map={"kind": "kraus", "ops": [[[0.0, 1.0], [1.0, 0.0]]], "weights": [0.5]},
+        input={"kind": "embed", "element": [[[1.0, 0.3], [0.3, 1.0]]]},
+        **{"lambda": 1e200},
+    )
+    assert main(["verify", sc, "--out", str(tmp_path / "r.json")]) == 0
+    assert not recwarn.list
+
+
 def test_verify_strict_unstable_limit_exits_three(tmp_path, capsys):
     sc = write_scenario(tmp_path, horizon=3)
     assert main(["verify", sc, "--strict", "--out", str(tmp_path / "r.json")]) == 3

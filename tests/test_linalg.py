@@ -138,6 +138,23 @@ def test_eigh_guard_judges_each_block_at_its_own_scale(monkeypatch):
         eigh(a)
 
 
+def test_eigh_reconstruction_check_survives_huge_entries():
+    # the squared residual of a 1e200-scaled matrix overflows; the check
+    # must still measure the decomposition, which is accurate to roundoff
+    a = HermitianOperator([1e200 * np.array([[2.0, 1.0], [1.0, 3.0]])])
+    w = eigh(a).eigenvalues[0]
+    expected = 1e200 * np.array([2.5 - math.sqrt(1.25), 2.5 + math.sqrt(1.25)])
+    np.testing.assert_allclose(w, expected, rtol=1e-14)
+
+
+def test_eigh_guard_fires_at_huge_scale(monkeypatch):
+    # off by ~1e-9 relative, ten times the 1e-10 the check allows
+    a = HermitianOperator([1e200 * np.array([[2.0, 1.0], [1.0, 3.0]])])
+    monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh(1e-9))
+    with pytest.raises(NonConvergence):
+        eigh(a)
+
+
 # -- functional calculus --------------------------------------------------
 
 

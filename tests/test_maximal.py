@@ -486,6 +486,25 @@ def test_pointwise_certificate_random_instances():
         ) <= 1e-9
 
 
+def test_pointwise_certificate_builds_its_averages_once(monkeypatch):
+    # S_1(a), ..., S_n(a) take n applications of the L1 action, shared by
+    # the payoffs and the domination residuals
+    _, state, a, ext = _certified_instance(5)
+    applied = []
+    real = PositiveMapModel.apply
+
+    def counting(model, x):
+        applied.append(model)
+        return real(model, x)
+
+    monkeypatch.setattr(PositiveMapModel, "apply", counting)
+    for n in (0, 1, 4):
+        applied.clear()
+        pointwise_certificate(a, 1.0, n, state, ext)
+        assert len(applied) == n
+        assert all(model is ext.l1_action for model in applied)
+
+
 def test_pointwise_certificate_informational_sharper_mass():
     # the 1/lambda form is the one the comparison argument yields; record it
     for seed in (1, 4, 8):
@@ -604,11 +623,17 @@ def test_tracial_rejects_nonabsorbing_map():
     doubling = PositiveMapModel.from_kraus(
         algebra, [np.sqrt(2.0) * np.eye(2, dtype=np.complex128)]
     )
+    # x -> -x keeps T(1) <= 1 and Tr T(x) <= Tr x, and fails the sampled positivity
+    negation = PositiveMapModel.from_superop(algebra, -np.eye(4))
     a = LOneElement(HermitianOperator._exact((0.5 * algebra.identity()).blocks))
-    with pytest.raises(ConditionsNotMet):
-        yeadon_tracial(
-            a, 1.0, 5, algebra, Weight.tracial_weight(algebra), doubling
-        )
+    weight = Weight.tracial_weight(algebra)
+    both = r"^contraction defect 1\.000e\+00; trace increase 1\.000e\+00$"
+    with pytest.raises(ConditionsNotMet, match=both):
+        yeadon_tracial(a, 1.0, 5, algebra, weight, doubling)
+    with pytest.raises(
+        ConditionsNotMet, match=r"^sampled positivity defect -1\.000e\+00$"
+    ):
+        yeadon_tracial(a, 1.0, 5, algebra, weight, negation)
 
 
 def test_tracial_consistency_with_uniform_state():

@@ -136,6 +136,10 @@ def test_decode_matrix_rejects_bad_shapes():
         decode_matrix([[True, False]])
     with pytest.raises(ScenarioError):
         decode_matrix([[[1, 2, 3]]])
+    # beyond 1e100 in magnitude, products of entries can overflow
+    with pytest.raises(ScenarioError):
+        decode_matrix([[1.0, [0.0, -1e101]]])
+    assert decode_matrix([[1e100]])[0, 0] == 1e100
 
 
 # -- schema validation --------------------------------------------------------
@@ -163,6 +167,9 @@ def test_scenario_round_trip_through_dict():
         {"input": {"kind": "mystery"}},
         {"input": {"kind": "random", "seed": 1}},
         {"input": {"kind": "random", "seed": 1, "trace": -2.0}},
+        {"input": {"kind": "random", "seed": -1, "trace": 1.0}},
+        {"input": {"kind": "random", "seed": 1, "trace": 1e101}},
+        {"map": {"kind": "kraus", "ops": [[[1.0]]], "weights": [1e101]}},
         {"tolerances": {"made_up": 1.0}},
         {"tolerances": {"residual": -1.0}},
         {"tolerances": {"window": 0}},
@@ -193,6 +200,13 @@ def test_markov_scenario_rejects_top_level_algebra():
         Scenario.from_dict(markov_dict(algebra=[2, 2]))
     with pytest.raises(ScenarioError):
         Scenario.from_dict(markov_dict(mode="tracial_weight"))
+
+
+def test_markov_scenario_rejects_unbounded_mu():
+    for mu in ([float("nan"), 0.5], [float("inf"), 0.5], [1e101, 0.5]):
+        spec = dict(markov_dict()["map"], mu=mu)
+        with pytest.raises(ScenarioError):
+            Scenario.from_dict(markov_dict(map=spec))
 
 
 def test_load_scenario_missing_file(tmp_path):
