@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count
 
 import numpy as np
 
@@ -451,13 +452,16 @@ def cesaro_reps(model: PositiveMapModel, rep: BlockMatrix, n: int) -> list[Block
     return list(_averages(model.apply, rep, n))
 
 
-def _averages(step, x: BlockMatrix, n: int):
-    """Yield S_0(x), ..., S_n(x) with S_r = (1/(r+1)) sum_{k<=r} step^k(x)."""
+def _averages(step, x: BlockMatrix, n: int | None):
+    """Yield S_0(x), ..., S_n(x) with S_r = (1/(r+1)) sum_{k<=r} step^k(x).
+
+    With ``n`` None the sequence does not end.
+    """
 
     power = x
     acc = x
     yield x
-    for r in range(1, n + 1):
+    for r in count(1) if n is None else range(1, n + 1):
         power = step(power)
         acc = acc + power
         yield (1.0 / (r + 1)) * acc

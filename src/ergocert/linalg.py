@@ -149,7 +149,8 @@ class HermitianOperator(BlockMatrix):
     """Self-adjoint ``BlockMatrix``.
 
     Construction rejects inputs whose hermiticity defect exceeds
-    ``1e-12 * scale`` and stores the symmetrized ``(A + A*)/2``.
+    ``1e-12 * scale`` and stores the symmetrized ``A/2 + (A/2)*``, halved
+    before the sum so that finite entries near the float limit stay finite.
     """
 
     __slots__ = ()
@@ -164,7 +165,8 @@ class HermitianOperator(BlockMatrix):
                     f"hermiticity defect {defect:.3e} exceeds "
                     f"{HERMITICITY_RTOL:.0e} * scale ({scale:.3e})"
                 )
-        self.blocks = tuple(0.5 * (a + a.conj().T) for a in self.blocks)
+        halves = (0.5 * a for a in self.blocks)
+        self.blocks = tuple(h + h.conj().T for h in halves)
 
     @classmethod
     def _exact(cls, blocks: Iterable[np.ndarray]) -> "HermitianOperator":

@@ -351,9 +351,10 @@ def _solve_from_blocks(
     else:
         xs_ops = [algebra.zeros() for _ in range(m)]
 
-    # fast path: nothing to collect when every payoff matrix is <= 0
-    if all(max_eigenvalue(b) <= 0.0 for b in blocks_B) and warm is None:
-        point = KPoint(tuple(xs_ops))
+    # fast path: when every payoff matrix is <= 0, zero is a maximizer,
+    # whatever the warm start
+    if all(max_eigenvalue(b) <= 0.0 for b in blocks_B):
+        point = KPoint.zeros(algebra, m - 1)
         dual = dual_upper_bound(blocks_B)
         return MaximizerSolution(
             point=point,
@@ -406,11 +407,12 @@ def _solve_from_blocks(
 
 
 def _payoffs(
-    seq: list[BlockMatrix], lam: float, density: HermitianOperator
+    seq: list[BlockMatrix], lam: float, density: HermitianOperator, first: int = 0
 ) -> tuple[HermitianOperator, ...]:
     """Payoffs ``B_r = (r+1) (S_r(a) - lambda density)``, one per average.
 
-    Raises ``InputError`` naming lambda when a payoff entry overflows.
+    ``seq`` holds S_first(a), S_first+1(a), ...  Raises ``InputError``
+    naming lambda when a payoff entry overflows.
     """
 
     try:
@@ -419,7 +421,7 @@ def _payoffs(
             shift = lam * density
             return tuple(
                 HermitianOperator._exact((float(r + 1) * (s_r - shift)).blocks)
-                for r, s_r in enumerate(seq)
+                for r, s_r in enumerate(seq, first)
             )
     except InputError as exc:
         raise InputError(
@@ -612,8 +614,8 @@ def extract_projection(
     solution: MaximizerSolution,
     eps_kernel: float | None = None,
     strict: bool = False,
-) -> HermitianOperator:
-    """Support projection of z = 1 - sum_r x_r above the kernel cut.
+) -> tuple[HermitianOperator, float]:
+    """Support projection of z = 1 - sum_r x_r above the kernel cut, and the cut width.
 
     Verifies the exchange identity ``(1 - e) z = 0`` within ten times the
     cut width; a larger defect means the coordinates left K and the
@@ -630,7 +632,106 @@ def extract_projection(
             f"support extraction left a residual {residual:.3e} "
             f"above {PROOF_IDENTITY_FACTOR * eps:.3e}"
         )
-    return e
+    return e, eps
+
+
+@dataclass(frozen=True, eq=False)
+class PathStep:
+    """Order n of a projection path: e_n, its kernel cut width and the solve's numbers."""
+
+    projection: HermitianOperator
+    eps_kernel: float
+    objective: float
+    dual_bound: float
+    gap: float
+    sweeps: int
+    stalled: bool
+
+
+class ProjectionPath:
+    """The projections e_0, e_1, ... of one problem, each order solved once.
+
+    The problem is (a, lambda, density, action, opts), with payoffs
+    ``B_r = (r+1) (S_r(a) - lambda density)`` and S_r the averages under
+    ``action``.  Order n is solved the first time it is asked for,
+    warm-started from order n-1's point with a zero coordinate appended
+    (order 0 starts cold).  Of the K-points only the latest is kept, for
+    the next warm start.  The certificate functions validate the problem
+    and check that a path they are given was built for it.
+    """
+
+    def __init__(
+        self,
+        a: LOneElement,
+        lam: float,
+        density: HermitianOperator,
+        action: PositiveMapModel,
+        opts: SolveOptions = DEFAULT_OPTIONS,
+    ):
+        self.a = a
+        self.lam = lam
+        self.density = density
+        self.action = action
+        self.opts = opts
+        self.steps: list[PathStep] = []
+        self._seq: list[BlockMatrix] = []
+        self._gen = _averages(action.apply, a.rep, None)
+        self._blocks_B: tuple[HermitianOperator, ...] = ()
+        self._point: KPoint | None = None
+
+    def averages(self, n: int) -> list[BlockMatrix]:
+        """S_0(a), ..., S_n(a)."""
+
+        while len(self._seq) <= n:
+            self._seq.append(next(self._gen))
+        return self._seq[: n + 1]
+
+    def step(self, n: int) -> PathStep:
+        """Order n, after solving the orders below it not solved yet."""
+
+        if n < 0:
+            raise InputError(f"order must be >= 0, got {n}")
+        algebra = self.action.algebra
+        while len(self.steps) <= n:
+            k = len(self._blocks_B)
+            seq = self.averages(len(self.steps))
+            self._blocks_B += _payoffs(seq[k:], self.lam, self.density, k)
+            warm = None
+            if self._point is not None:
+                warm = KPoint(self._point.xs + (algebra.zeros(),))
+            sol = _solve_from_blocks(algebra, self._blocks_B, self.opts, warm)
+            e, eps = extract_projection(sol, self.opts.eps_kernel, self.opts.strict_cuts)
+            self._point = sol.point
+            self.steps.append(
+                PathStep(
+                    e, eps, sol.objective, sol.dual_bound, sol.gap, sol.sweeps, sol.stalled
+                )
+            )
+        return self.steps[n]
+
+
+def _path_for(
+    path: ProjectionPath | None,
+    a: LOneElement,
+    lam: float,
+    density: HermitianOperator,
+    action: PositiveMapModel,
+    opts: SolveOptions,
+) -> ProjectionPath:
+    """``path`` if it was built for this problem, a new path when None."""
+
+    if path is None:
+        return ProjectionPath(a, lam, density, action, opts)
+    # the same action fixes the algebra, so the densities compare entrywise
+    if not (
+        path.a is a
+        and path.lam == lam
+        and path.action is action
+        and path.opts == opts
+        and path.density.allclose(density, atol=0.0)
+    ):
+        raise InputError("the projection path was built for a different problem")
+    return path
 
 
 def _residual_tol(a: LOneElement, lam: float) -> float:
@@ -658,20 +759,24 @@ def pointwise_certificate(
     ext: ExtendedMap,
     opts: SolveOptions = DEFAULT_OPTIONS,
     tol: float | None = None,
+    path: ProjectionPath | None = None,
 ) -> Certificate:
     """Projection e_n with the order-n domination and mass inequalities.
 
+    e_n is order n of ``path`` (a new projection path when None).
     Residuals: ``pointwise_r`` is the least eigenvalue of
     ``e_n (lambda rho - S_r(a)) e_n`` for each r <= n, and
     ``mass_2_over_lambda`` is ``(2/lambda) Tr(a) - Tr(rho (1 - e_n))``.
     The sharper one-over-lambda mass slack is informational only.
     """
 
-    seq, blocks = _state_problem(a, lam, n, state, ext)
+    _validate_problem(a, lam, n, state.algebra, ext.state.algebra)
+    path = _path_for(path, a, lam, state.rho, ext.l1_action, opts)
     if tol is None:
         tol = _residual_tol(a, lam)
-    sol = _solve_from_blocks(state.algebra, blocks, opts, None)
-    e = extract_projection(sol, opts.eps_kernel, opts.strict_cuts)
+    step = path.step(n)
+    seq = path.averages(n)
+    e = step.projection
     one = state.algebra.identity()
     residuals = _domination_slacks(e, lam * state.rho, seq, "pointwise_r")
     mass = (state.rho @ (one - e)).real_trace()
@@ -679,13 +784,12 @@ def pointwise_certificate(
     info = {
         "mass_1_over_lambda": (1.0 / lam) * a.integral() - mass,
         "exceptional_mass": mass,
-        "objective": sol.objective,
-        "dual_bound": sol.dual_bound,
-        "gap": sol.gap,
-        "sweeps": float(sol.sweeps),
-        "stalled": float(sol.stalled),
+        "objective": step.objective,
+        "dual_bound": step.dual_bound,
+        "gap": step.gap,
+        "sweeps": float(step.sweeps),
+        "stalled": float(step.stalled),
     }
-    z = one - sol.point.total()
     passed = all(v >= -tol for v in residuals.values())
     return Certificate(
         projection=e,
@@ -694,10 +798,7 @@ def pointwise_certificate(
         order=n,
         residuals=residuals,
         passed=passed,
-        tolerances={
-            "residual": tol,
-            "eps_kernel": _resolve_eps(z, opts.eps_kernel),
-        },
+        tolerances={"residual": tol, "eps_kernel": step.eps_kernel},
         info=info,
     )
 
@@ -721,20 +822,14 @@ def _cluster_tail(
 
 
 def _limit_cut(
-    a: LOneElement,
-    lam: float,
-    horizon: int,
-    algebra: Algebra,
-    density: HermitianOperator,
-    action: PositiveMapModel,
-    opts: SolveOptions,
+    path: ProjectionPath, horizon: int
 ) -> tuple[
     list[BlockMatrix], HermitianOperator, HermitianOperator, float, LimitDiagnostics
 ]:
     """The limit construction the uniform and tracial certificates share.
 
-    Solves the orders n = 1..horizon with warm starts, extracts their
-    support projections, averages the largest op-norm cluster into h and
+    Takes the projections e_1, ..., e_horizon of the path (solving the
+    orders not solved yet), averages the largest op-norm cluster into h and
     cuts h above 1/2 (under ``opts.strict_cuts`` an eigenvalue of h at
     the cut raises ``AmbiguousSpectralCut``).  Returns the averages
     S_0(a), ..., S_c(a) up to the check horizon c, the order-horizon
@@ -743,6 +838,7 @@ def _limit_cut(
     diagnostics, when no cluster reaches ``opts.window`` members.
     """
 
+    opts = path.opts
     if horizon < 1:
         raise InputError(f"horizon must be >= 1, got {horizon}")
     check_horizon = (
@@ -750,23 +846,15 @@ def _limit_cut(
     )
     if check_horizon < horizon:
         raise InputError("check horizon must cover the solve horizon")
-    seq = cesaro_reps(action, a.rep, check_horizon)
-    payoffs = _payoffs(seq[: horizon + 1], lam, density)
-
-    es: list[HermitianOperator] = []
-    warm: KPoint | None = None
-    stalled_solves = 0
-    for n in range(1, horizon + 1):
-        sol = _solve_from_blocks(algebra, payoffs[: n + 1], opts, warm)
-        stalled_solves += int(sol.stalled)
-        es.append(extract_projection(sol, opts.eps_kernel, opts.strict_cuts))
-        warm = KPoint(sol.point.xs + (algebra.zeros(),))
+    seq = path.averages(check_horizon)
+    steps = [path.step(n) for n in range(1, horizon + 1)]
+    es = [s.projection for s in steps]
 
     members, dist = _cluster_tail(es, opts.cluster_tol)
     h = HermitianOperator._exact(
         [
             np.mean([es[i].blocks[c] for i in members], axis=0)
-            for c in range(len(algebra.signature))
+            for c in range(len(path.density.dims))
         ]
     )
     diag = LimitDiagnostics(
@@ -774,7 +862,7 @@ def _limit_cut(
         cluster=tuple(i + 1 for i in members),
         window=opts.window,
         cluster_tol=opts.cluster_tol,
-        stalled_solves=stalled_solves,
+        stalled_solves=sum(s.stalled for s in steps),
         h=h,
     )
     if len(members) < opts.window:
@@ -803,11 +891,12 @@ def uniform_projection(
     ext: ExtendedMap,
     opts: SolveOptions = DEFAULT_OPTIONS,
     tol: float | None = None,
+    path: ProjectionPath | None = None,
 ) -> tuple[Certificate, LimitDiagnostics]:
     """One projection controlling every average up to the check horizon.
 
-    Runs the order-n construction for n = 1..horizon with warm starts,
-    averages the largest op-norm cluster of the resulting projections
+    Takes the projections e_1, ..., e_horizon of ``path`` (a new
+    projection path when None), averages their largest op-norm cluster
     into h, and cuts h above 1/2.  Residuals: ``uniform_r`` is
     ``4 lambda - Tr(e S_r(a) e)`` for r up to ``opts.check_horizon``
     (default four times the horizon), ``mass_2_over_lambda`` as in the
@@ -817,11 +906,10 @@ def uniform_projection(
     """
 
     _validate_problem(a, lam, horizon, state.algebra, ext.state.algebra)
+    path = _path_for(path, a, lam, state.rho, ext.l1_action, opts)
     if tol is None:
         tol = _residual_tol(a, lam)
-    seq, _, e, eps, diag = _limit_cut(
-        a, lam, horizon, state.algebra, state.rho, ext.l1_action, opts
-    )
+    seq, _, e, eps, diag = _limit_cut(path, horizon)
     h, ginv = diag.h, diag.inverse_cut
     one = state.algebra.identity()
 
@@ -863,13 +951,15 @@ def yeadon_tracial(
     T: PositiveMapModel,
     opts: SolveOptions = DEFAULT_OPTIONS,
     tol: float | None = None,
+    path: ProjectionPath | None = None,
 ) -> Certificate:
     """Tracial-weight certificate: operator domination, not just traces.
 
     Requires the tracial weight; the density is the identity, the
     integral is the plain trace, and the L1 action coincides with the
     map itself.  The projection comes from the same limit construction
-    as ``uniform_projection``.  Residuals: ``pointwise_r`` is the least
+    as ``uniform_projection``, on ``path`` (a new projection path when
+    None).  Residuals: ``pointwise_r`` is the least
     eigenvalue of ``e_H (lambda - S_r(a)) e_H`` for r <= horizon,
     ``uniform_r`` the least eigenvalue of ``e (2 lambda - S_r(a)) e`` up
     to the check horizon, and both mass slacks use ``Tr(1 - e)``.
@@ -884,6 +974,7 @@ def yeadon_tracial(
         tol = _residual_tol(a, lam)
 
     one = algebra.identity()
+    path = _path_for(path, a, lam, one, T, opts)
     # the absorption conditions for the trace, as extend_l1 checks them for a state
     report = _condition_report(T, one, DEFAULT_SAMPLES, DEFAULT_CONDITION_TOL)
     failures = []
@@ -896,7 +987,7 @@ def yeadon_tracial(
     if failures:
         raise ConditionsNotMet("; ".join(failures))
 
-    seq, e_last, e, eps, diag = _limit_cut(a, lam, horizon, algebra, one, T, opts)
+    seq, e_last, e, eps, diag = _limit_cut(path, horizon)
 
     residuals = _domination_slacks(e_last, lam * one, seq[: horizon + 1], "pointwise_r")
     residuals.update(_domination_slacks(e, (2.0 * lam) * one, seq, "uniform_r"))

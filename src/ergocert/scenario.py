@@ -41,6 +41,7 @@ from .maximal import (
     DEFAULT_OPTIONS,
     Certificate,
     LimitDiagnostics,
+    ProjectionPath,
     SolveOptions,
     pointwise_certificate,
     uniform_projection,
@@ -635,7 +636,8 @@ def run_scenario(sc: Scenario, strict: bool = False, tol: float | None = None) -
     """Execute the pipeline a scenario describes and build its report.
 
     Pointwise certificates run for n = 0..n_max, then one uniform
-    certificate at the horizon.  Without --strict a NoStableLimit is
+    certificate at the horizon, all on one projection path, so each order
+    is solved once.  Without --strict a NoStableLimit is
     recorded in the report but does not gate the verdict; every produced
     certificate gates it.  Numerical breakdowns propagate to the caller.
     """
@@ -663,10 +665,13 @@ def run_scenario(sc: Scenario, strict: bool = False, tol: float | None = None) -
         report["overall_pass"] = bool(cert.passed)
         return report
 
+    path = ProjectionPath(
+        prob.a, prob.lam, prob.state.rho, prob.ext.l1_action, prob.opts
+    )
     records = []
     for n in range(prob.n_max + 1):
         cert = pointwise_certificate(
-            prob.a, prob.lam, n, prob.state, prob.ext, prob.opts, prob.tol
+            prob.a, prob.lam, n, prob.state, prob.ext, prob.opts, prob.tol, path
         )
         records.append(certificate_record(cert, dim))
     report["pointwise"] = records
@@ -674,7 +679,7 @@ def run_scenario(sc: Scenario, strict: bool = False, tol: float | None = None) -
     try:
         ucert, diag = uniform_projection(
             prob.a, prob.lam, prob.horizon, prob.state, prob.ext,
-            prob.opts, prob.tol,
+            prob.opts, prob.tol, path,
         )
     except NoStableLimit as exc:
         if strict:

@@ -110,7 +110,7 @@ def test_scalar_oracle_agreement():
         sol = solve_maximizer(a_l1, lam, n, state, ext)
         assert abs(sol.objective - ref.optimum) <= 1e-8, f"seed {seed}"
 
-        e = extract_projection(sol)
+        e, _ = extract_projection(sol)
         z = algebra.identity() - sol.point.total()
         z_diag = np.array([blk[0, 0].real for blk in z.blocks])
         eps = KERNEL_EPS * max(1.0, float(np.abs(z_diag).max()))
@@ -146,7 +146,7 @@ def test_proof_step_identities_over_corpus(corpus):
             assert op_norm(lhs - inst.a.rep) <= 1e-9, f"seed {inst.seed} r {r}"
 
         # the complement of the cut projection is carried by the optimum
-        e = extract_projection(sol)
+        e, _ = extract_projection(sol)
         one = inst.algebra.identity()
         rest = one - e
         drift = rest - rest @ sol.point.total()

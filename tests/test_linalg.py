@@ -79,6 +79,13 @@ def test_hermitian_symmetrizes_small_defect():
     assert h.hermiticity_defect() == 0.0
 
 
+def test_hermitian_symmetrizes_entries_near_the_float_limit():
+    # halved before the sum: 1e308 + 1e308 would overflow
+    h = HermitianOperator([np.array([[1e308, 1e307], [1e307, -1e308]])])
+    assert np.array_equal(h.blocks[0], np.array([[1e308, 1e307], [1e307, -1e308]]))
+    assert np.array_equal(HermitianOperator([np.array([[1e308]])]).blocks[0], [[1e308]])
+
+
 def test_block_matrix_rejects_nonfinite():
     with pytest.raises(InputError):
         BlockMatrix([np.array([[np.nan]])])

@@ -33,6 +33,7 @@ from ergocert.linalg import HermitianOperator, op_norm, positive_part
 from ergocert.maximal import (
     Certificate,
     KPoint,
+    ProjectionPath,
     SolveOptions,
     _ascend_block,
     _payoffs,
@@ -204,7 +205,7 @@ def test_diagonal_agreement_fifty_instances():
         scale = max(1.0, abs(ref.optimum))
         assert abs(sol.objective - ref.optimum) <= 1e-8 * scale
         assert sol.gap <= 1e-6 * scale
-        e = extract_projection(sol)
+        e, _ = extract_projection(sol)
         ind = np.array([float(b[0, 0].real) for b in e.blocks])
         assert np.allclose(ind, ref.indicator, atol=1e-9)
 
@@ -244,7 +245,7 @@ def test_solve_all_payoffs_negative_gives_zeros():
     assert sol.objective == 0.0
     assert sol.sweeps == 0
     assert all(op_norm(x) == 0.0 for x in sol.point.xs)
-    e = extract_projection(sol)
+    e, _ = extract_projection(sol)
     assert op_norm(e - state.algebra.identity()) == 0.0
 
 
@@ -270,8 +271,8 @@ def test_scaling_covariance():
     doubled = LOneElement(HermitianOperator._exact((2.0 * a.rep).blocks))
     sol2 = solve_maximizer(doubled, 2.0 * lam, 3, state, ext)
     assert sol2.objective == pytest.approx(2.0 * sol1.objective, rel=1e-9)
-    e1 = extract_projection(sol1)
-    e2 = extract_projection(sol2)
+    e1, _ = extract_projection(sol1)
+    e2, _ = extract_projection(sol2)
     assert op_norm(e1 - e2) <= 1e-9
 
 
@@ -315,6 +316,7 @@ def test_shift_never_improves_a_maximizer(monkeypatch):
         return solutions[-1]
 
     checked = 0
+    horizon = 8
     for seed in range(12):
         inst = suite_instance(seed)
         adjoint = inst.ext.adjoint_action
@@ -325,10 +327,11 @@ def test_shift_never_improves_a_maximizer(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(maximal, "_solve_from_blocks", recording)
             try:
-                uniform_projection(inst.a, inst.lam, 8, inst.state, inst.ext)
+                uniform_projection(inst.a, inst.lam, horizon, inst.state, inst.ext)
             except NoStableLimit:
                 pass
-        assert len(solutions) == 8
+        # the projection path solves orders 0, 1, ..., horizon
+        assert len(solutions) == horizon + 1
         for sol in solutions:
             checked += _shift_compared(sol, adjoint)
     assert checked > 0
@@ -345,7 +348,7 @@ def test_weak_duality_and_feasibility():
         assert excess <= 1e-9
         one = state.algebra.identity()
         z = one - sol.point.total()
-        e = extract_projection(sol)
+        e, _ = extract_projection(sol)
         assert op_norm((one - e) @ z) <= 1e-7
 
 
@@ -505,6 +508,56 @@ def test_pointwise_certificate_builds_its_averages_once(monkeypatch):
         assert all(model is ext.l1_action for model in applied)
 
 
+def test_pointwise_certificate_decomposes_its_kernel_once(monkeypatch):
+    # the eps_kernel tolerance is the width extract_projection cut z with
+    _, state, a, ext = _certified_instance(5)
+    calls = []
+    real = maximal._resolve_eps
+
+    def counting(A, eps_kernel):
+        calls.append(A)
+        return real(A, eps_kernel)
+
+    monkeypatch.setattr(maximal, "_resolve_eps", counting)
+    cert = pointwise_certificate(a, 1.0, 0, state, ext)
+    assert len(calls) == 1
+    assert cert.tolerances["eps_kernel"] == real(calls[0], None)
+    path = ProjectionPath(a, 1.0, state.rho, ext.l1_action)
+    for n in range(4):
+        calls.clear()
+        pointwise_certificate(a, 1.0, n, state, ext, path=path)
+        assert len(calls) == 1
+
+
+def test_certificates_reject_a_path_of_another_problem():
+    algebra, state, a, ext = _certified_instance(5)
+    path = ProjectionPath(a, 1.0, state.rho, ext.l1_action)
+    other_a = random_positive_l1(77, algebra, trace=3.0)
+    other_state = random_state(78, algebra)
+    other_ext = extend_l1(random_certified_map(79, algebra, other_state), other_state)
+    for args, opts in (
+        ((other_a, 1.0, 2, state, ext), SolveOptions()),
+        ((a, 0.5, 2, state, ext), SolveOptions()),
+        ((a, 1.0, 2, other_state, other_ext), SolveOptions()),
+        ((a, 1.0, 2, state, ext), SolveOptions(window=3)),
+    ):
+        with pytest.raises(InputError):
+            pointwise_certificate(*args, opts, path=path)
+        with pytest.raises(InputError):
+            uniform_projection(*args, opts, path=path)
+    assert path.steps == []
+    tracial = Algebra((2,))
+    weight = Weight.tracial_weight(tracial)
+    model = PositiveMapModel.identity(tracial)
+    a_tr = LOneElement(HermitianOperator._exact((0.5 * tracial.identity()).blocks))
+    own = ProjectionPath(a_tr, 1.0, tracial.identity(), model)
+    yeadon_tracial(a_tr, 1.0, 6, tracial, weight, model, path=own)
+    with pytest.raises(InputError):
+        yeadon_tracial(a_tr, 2.0, 6, tracial, weight, model, path=own)
+    with pytest.raises(InputError):
+        yeadon_tracial(a_tr, 1.0, 6, tracial, weight, model, path=path)
+
+
 def test_pointwise_certificate_informational_sharper_mass():
     # the 1/lambda form is the one the comparison argument yields; record it
     for seed in (1, 4, 8):
@@ -575,7 +628,7 @@ def test_uniform_check_horizon_must_cover():
 def test_strict_cut_at_one_half_raises_in_both_limit_modes(monkeypatch):
     # every extracted projection replaced by 1/2, so the limit h is 1/2
     def half(sol, eps_kernel=None, strict=False):
-        return 0.5 * HermitianOperator.identity(sol.point.xs[0].dims)
+        return 0.5 * HermitianOperator.identity(sol.point.xs[0].dims), 1e-8
 
     monkeypatch.setattr(maximal, "extract_projection", half)
     strict = SolveOptions(strict_cuts=True)

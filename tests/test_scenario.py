@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from ergocert import maximal
 from ergocert.errors import NoStableLimit, ScenarioError
+from ergocert.maximal import pointwise_certificate
 from ergocert.scenario import (
     Scenario,
     build_problem,
+    certificate_record,
     decode_matrix,
     dumps,
     encode_matrix,
@@ -320,6 +323,48 @@ def test_run_scenario_tolerance_gates_verdict():
     assert passing["overall_pass"] is True
     failing = run_scenario(sc, tol=1e-30)
     assert failing["overall_pass"] is False
+
+
+def _random_input_scenario(**over):
+    return Scenario.from_dict(
+        trivial_dict(
+            input={"kind": "random", "seed": 5, "trace": 3.0},
+            state=[[[0.7, 0.0], [0.0, 0.3]]],
+            map={
+                "kind": "kraus",
+                "ops": [[[0.6, 0.0], [0.3, 0.2]], [[0.1, 0.0], [0.2, 0.5]]],
+            },
+            **{"lambda": 1.0},
+            **over,
+        )
+    )
+
+
+@pytest.mark.parametrize("n_max, horizon", [(3, 6), (9, 6), (6, 6)])
+def test_run_scenario_solves_each_order_once(monkeypatch, n_max, horizon):
+    calls = []
+    real = maximal._solve_from_blocks
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(maximal, "_solve_from_blocks", counting)
+    report = run_scenario(_random_input_scenario(n_max=n_max, horizon=horizon))
+    assert len(report["pointwise"]) == n_max + 1
+    # orders 0, 1, ..., max(n_max, horizon), one payoff more per order
+    assert calls == [n + 1 for n in range(max(n_max, horizon) + 1)]
+
+
+def test_direct_pointwise_certificate_matches_report_record():
+    sc = _random_input_scenario(n_max=5, horizon=6)
+    report = run_scenario(sc)
+    prob = build_problem(sc)
+    for n in (0, 2, 5):
+        cert = pointwise_certificate(
+            prob.a, prob.lam, n, prob.state, prob.ext, prob.opts, prob.tol
+        )
+        assert certificate_record(cert, prob.algebra.total_dim) == report["pointwise"][n]
 
 
 # -- reports and CSV ----------------------------------------------------------

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from ergocert import maximal
 from ergocert.errors import InputError
-from ergocert.scenario import dumps, export_csv, loads
+from ergocert.maximal import SolveOptions, pointwise_certificate
+from ergocert.scenario import certificate_record, dumps, export_csv, loads
 from ergocert.suite import SUITE_LAMBDAS, dims_pool, run_suite, suite_instance
 
 
@@ -91,3 +93,42 @@ def test_run_suite_records_uniform_horizon():
     urec = report["instances"][0]["uniform"]
     if not urec["no_stable_limit"]:
         assert urec["order"] == 6
+
+
+def test_run_suite_counts_each_solve_once(monkeypatch):
+    # no sweeps, so every solve with a positive payoff stalls
+    solves = []
+    real = maximal._solve_from_blocks
+
+    def recording(*args):
+        solves.append(real(*args))
+        return solves[-1]
+
+    monkeypatch.setattr(maximal, "_solve_from_blocks", recording)
+    report = run_suite(10, 4, dims=[2], horizon=6, opts=SolveOptions(max_sweeps=0))
+    orders = [r["order"] for r in report["instances"]]
+    assert orders == [10, 11, 12, 0]
+    # one path per instance: orders 0, 1, ..., max(order, horizon)
+    assert len(solves) == sum(max(k, 6) + 1 for k in orders)
+    stalled = sum(sol.stalled for sol in solves)
+    assert stalled > 0
+    assert report["aggregate"]["stalled_solves"] == stalled
+
+
+def test_run_suite_reports_the_worst_relative_gap():
+    report = run_suite(0, 6, dims=[2])
+    rel = [
+        r["pointwise"]["gap"] / max(1.0, abs(r["pointwise"]["info"]["dual_bound"]))
+        for r in report["instances"]
+    ]
+    aggregate = report["aggregate"]
+    assert aggregate["max_rel_gap"] == max(rel)
+    assert aggregate["rel_gaps_above_1e-8"] == sum(g > 1e-8 for g in rel)
+
+
+def test_suite_pointwise_record_matches_a_direct_certificate():
+    report = run_suite(10, 2, dims=[2], horizon=6)
+    for rec in report["instances"]:
+        inst = suite_instance(rec["seed"], [2])
+        cert = pointwise_certificate(inst.a, inst.lam, inst.order, inst.state, inst.ext)
+        assert certificate_record(cert, inst.algebra.total_dim) == rec["pointwise"]
