@@ -714,12 +714,13 @@ def _path_for(
     path: ProjectionPath | None,
     a: LOneElement,
     lam: float,
-    density: HermitianOperator,
-    action: PositiveMapModel,
+    state: State,
+    ext: ExtendedMap,
     opts: SolveOptions,
 ) -> ProjectionPath:
-    """``path`` if it was built for this problem, a new path when None."""
+    """``path`` if it was built for this state-mode problem, a new path when None."""
 
+    density, action = state.rho, ext.l1_action
     if path is None:
         return ProjectionPath(a, lam, density, action, opts)
     # the same action fixes the algebra, so the densities compare entrywise
@@ -763,7 +764,8 @@ def pointwise_certificate(
 ) -> Certificate:
     """Projection e_n with the order-n domination and mass inequalities.
 
-    e_n is order n of ``path`` (a new projection path when None).
+    e_n is order n of ``path``.  Without a path the call walks a new one,
+    so it solves every order 0..n, each warm from the one before.
     Residuals: ``pointwise_r`` is the least eigenvalue of
     ``e_n (lambda rho - S_r(a)) e_n`` for each r <= n, and
     ``mass_2_over_lambda`` is ``(2/lambda) Tr(a) - Tr(rho (1 - e_n))``.
@@ -771,7 +773,7 @@ def pointwise_certificate(
     """
 
     _validate_problem(a, lam, n, state.algebra, ext.state.algebra)
-    path = _path_for(path, a, lam, state.rho, ext.l1_action, opts)
+    path = _path_for(path, a, lam, state, ext, opts)
     if tol is None:
         tol = _residual_tol(a, lam)
     step = path.step(n)
@@ -895,9 +897,9 @@ def uniform_projection(
 ) -> tuple[Certificate, LimitDiagnostics]:
     """One projection controlling every average up to the check horizon.
 
-    Takes the projections e_1, ..., e_horizon of ``path`` (a new
-    projection path when None), averages their largest op-norm cluster
-    into h, and cuts h above 1/2.  Residuals: ``uniform_r`` is
+    Takes the projections e_1, ..., e_horizon of ``path`` (without one,
+    of a new path, whose orders 0..horizon are then all solved), averages
+    their largest op-norm cluster into h, and cuts h above 1/2.  Residuals: ``uniform_r`` is
     ``4 lambda - Tr(e S_r(a) e)`` for r up to ``opts.check_horizon``
     (default four times the horizon), ``mass_2_over_lambda`` as in the
     pointwise certificate, plus the inverse-cut identities.  Raises
@@ -906,7 +908,7 @@ def uniform_projection(
     """
 
     _validate_problem(a, lam, horizon, state.algebra, ext.state.algebra)
-    path = _path_for(path, a, lam, state.rho, ext.l1_action, opts)
+    path = _path_for(path, a, lam, state, ext, opts)
     if tol is None:
         tol = _residual_tol(a, lam)
     seq, _, e, eps, diag = _limit_cut(path, horizon)
@@ -951,16 +953,15 @@ def yeadon_tracial(
     T: PositiveMapModel,
     opts: SolveOptions = DEFAULT_OPTIONS,
     tol: float | None = None,
-    path: ProjectionPath | None = None,
 ) -> Certificate:
     """Tracial-weight certificate: operator domination, not just traces.
 
     Requires the tracial weight; the density is the identity, the
     integral is the plain trace, and the L1 action coincides with the
     map itself.  The projection comes from the same limit construction
-    as ``uniform_projection``, on ``path`` (a new projection path when
-    None).  Residuals: ``pointwise_r`` is the least
-    eigenvalue of ``e_H (lambda - S_r(a)) e_H`` for r <= horizon,
+    as ``uniform_projection``, on a projection path of its own.
+    Residuals: ``pointwise_r`` is the least eigenvalue of
+    ``e_H (lambda - S_r(a)) e_H`` for r <= horizon,
     ``uniform_r`` the least eigenvalue of ``e (2 lambda - S_r(a)) e`` up
     to the check horizon, and both mass slacks use ``Tr(1 - e)``.
     """
@@ -974,7 +975,6 @@ def yeadon_tracial(
         tol = _residual_tol(a, lam)
 
     one = algebra.identity()
-    path = _path_for(path, a, lam, one, T, opts)
     # the absorption conditions for the trace, as extend_l1 checks them for a state
     report = _condition_report(T, one, DEFAULT_SAMPLES, DEFAULT_CONDITION_TOL)
     failures = []
@@ -987,7 +987,7 @@ def yeadon_tracial(
     if failures:
         raise ConditionsNotMet("; ".join(failures))
 
-    seq, e_last, e, eps, diag = _limit_cut(path, horizon)
+    seq, e_last, e, eps, diag = _limit_cut(ProjectionPath(a, lam, one, T, opts), horizon)
 
     residuals = _domination_slacks(e_last, lam * one, seq[: horizon + 1], "pointwise_r")
     residuals.update(_domination_slacks(e, (2.0 * lam) * one, seq, "uniform_r"))

@@ -546,16 +546,6 @@ def test_certificates_reject_a_path_of_another_problem():
         with pytest.raises(InputError):
             uniform_projection(*args, opts, path=path)
     assert path.steps == []
-    tracial = Algebra((2,))
-    weight = Weight.tracial_weight(tracial)
-    model = PositiveMapModel.identity(tracial)
-    a_tr = LOneElement(HermitianOperator._exact((0.5 * tracial.identity()).blocks))
-    own = ProjectionPath(a_tr, 1.0, tracial.identity(), model)
-    yeadon_tracial(a_tr, 1.0, 6, tracial, weight, model, path=own)
-    with pytest.raises(InputError):
-        yeadon_tracial(a_tr, 2.0, 6, tracial, weight, model, path=own)
-    with pytest.raises(InputError):
-        yeadon_tracial(a_tr, 1.0, 6, tracial, weight, model, path=path)
 
 
 def test_pointwise_certificate_informational_sharper_mass():
