@@ -120,8 +120,8 @@ def _transpose_permutation(signature: tuple[int, ...]) -> np.ndarray:
 
 def _wrap_like(x: BlockMatrix, blocks: list[np.ndarray]) -> BlockMatrix:
     if isinstance(x, HermitianOperator):
-        # map is hermiticity-preserving; symmetrize away roundoff skew
-        return HermitianOperator._exact([0.5 * (b + b.conj().T) for b in blocks])
+        # map is hermiticity-preserving; the operator symmetrizes away roundoff skew
+        return HermitianOperator._exact(blocks)
     return BlockMatrix(blocks)
 
 

@@ -328,12 +328,17 @@ def op_norm(A: BlockMatrix) -> float:
     return max(float(np.linalg.norm(b, 2)) for b in A.blocks)
 
 
+def scaled_tol(A: HermitianOperator, rtol: float) -> float:
+    """``rtol * max(1, op norm)``: the PSD test's tolerance and the default cut width."""
+
+    spec = eigh(A)
+    return rtol * max(1.0, abs(spec.min_eigenvalue()), abs(spec.max_eigenvalue()))
+
+
 def is_psd(A: HermitianOperator, tol: float = PSD_TOL) -> bool:
     """True iff the minimum eigenvalue is ``>= -tol * max(1, op norm)``."""
 
-    spec = eigh(A)
-    scale = max(1.0, abs(spec.min_eigenvalue()), abs(spec.max_eigenvalue()))
-    return spec.min_eigenvalue() >= -tol * scale
+    return min_eigenvalue(A) >= -scaled_tol(A, tol)
 
 
 def spectral_projection(
@@ -357,8 +362,7 @@ def spectral_projection(
         raise InputError(f"empty interval ({lo}, {hi}]")
     spec = eigh(A)
     if eps_kernel is None:
-        scale = max(1.0, abs(spec.min_eigenvalue()), abs(spec.max_eigenvalue()))
-        eps_kernel = KERNEL_EPS * scale
+        eps_kernel = scaled_tol(A, KERNEL_EPS)
     blocks = []
     for w, u in zip(spec.eigenvalues, spec.vectors):
         if strict and math.isfinite(lo) and np.any(np.abs(w - lo) <= eps_kernel):

@@ -54,11 +54,12 @@ from .linalg import (
     HermitianOperator,
     apply_spectral,
     compress,
-    eigh,
+    eigh,  # noqa: F401  (bound here for perfbench's layer trace and its smoke test)
     eigh_stack,
     max_eigenvalue,
     min_eigenvalue,
     op_norm,
+    scaled_tol,
     schatten_norm,
     spectral_projection,
 )
@@ -184,8 +185,10 @@ class LimitDiagnostics:
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
-    # hermitian part of a matrix, or of each matrix of a stack
-    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+    # hermitian part of a matrix, or of each matrix of a stack, halved before
+    # the sum so that finite entries near the float limit stay finite
+    h = 0.5 * m
+    return h + h.conj().swapaxes(-1, -2)
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -251,17 +254,23 @@ def _swap_pass(
     return changed
 
 
-def _swap_screen(bs: np.ndarray) -> np.ndarray:
-    """screen[r, s] = largest eigenvalue of B_s - B_r (0 on the diagonal).
+def _grow_screen(stack: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """The swap screen of ``stack`` from the screen ``old`` of its first payoffs.
 
-    Batched ``eigvalsh`` calls per row over the stacked payoffs.
+    screen[r, s] is the largest eigenvalue of B_s - B_r (0 on the
+    diagonal).  Only the entries of the new rows and columns are computed,
+    in batched ``eigvalsh`` calls per row.
     """
 
-    stack = np.asarray(bs)
-    screen = np.empty((len(stack), len(stack)))
-    for r in range(len(stack)):
-        for part in _slices(stack):
-            screen[r, part] = np.linalg.eigvalsh(_sym(stack[part] - stack[r]))[:, -1]
+    k, m = len(old), len(stack)
+    screen = np.zeros((m, m))
+    screen[:k, :k] = old
+    for r in range(m):
+        # an old row lacks the new columns only; a new row lacks every column
+        first = k if r < k else 0
+        row, rest = screen[r, first:], stack[first:]
+        for part in _slices(rest):
+            row[part] = np.linalg.eigvalsh(_sym(rest[part] - stack[r]))[:, -1]
         screen[r, r] = 0.0
     return screen
 
@@ -271,18 +280,19 @@ def _ascend_block(
     xs: list[np.ndarray],
     budget: int,
     to_fixed_point: bool,
+    screen: np.ndarray,
 ) -> tuple[int, bool]:
     """Cyclic ascent on one algebra block; mutates xs, returns (sweeps, done).
 
-    ``bs`` is the block's ``(m, d, d)`` payoff stack.  Swaps run when
-    there are at least two coordinates.
+    ``bs`` is the block's ``(m, d, d)`` payoff stack and ``screen`` its
+    swap screen (``PayoffLayout.screen``).  Swaps run when there are at
+    least two coordinates.
     """
 
     m = len(bs)
     d = bs[0].shape[0]
     eye = np.eye(d, dtype=np.complex128)
     swaps = m > 1
-    screen = _swap_screen(bs) if swaps else None
     obj = sum(_pair(b, x) for b, x in zip(bs, xs))
     sweeps = 0
     while sweeps < budget:
@@ -314,9 +324,7 @@ def _ascend_block(
 def _resolve_eps(A: HermitianOperator, eps_kernel: float | None) -> float:
     if eps_kernel is not None:
         return float(eps_kernel)
-    spec = eigh(A)
-    scale = max(1.0, abs(spec.min_eigenvalue()), abs(spec.max_eigenvalue()))
-    return KERNEL_EPS * scale
+    return scaled_tol(A, KERNEL_EPS)
 
 
 def _point_objective(
@@ -330,15 +338,65 @@ def _point_objective(
     )
 
 
+class PayoffLayout:
+    """The payoffs B_0, ..., B_{m-1} of one problem, laid out for the solver.
+
+    Per algebra block it holds the ``(m, d, d)`` stacks of the payoffs and
+    of their positive parts ``(B_r)_+``, and the swap screen; per payoff,
+    the least and largest eigenvalue and the positive mass ``Tr (B_r)_+``
+    over all blocks.  ``extend`` appends payoffs and decomposes each new
+    one once, in one checked ``eigh_stack`` per block; ``screen``
+    computes the entries of payoffs added since its last call.  Nothing
+    laid out is computed again.
+    """
+
+    def __init__(self, blocks_B: tuple[HermitianOperator, ...] = ()):
+        self.blocks_B: tuple[HermitianOperator, ...] = ()
+        self.stacks: list[np.ndarray] = []
+        self.positives: list[np.ndarray] = []
+        self.lows = self.tops = self.masses = np.empty(0)
+        self._screens: list[np.ndarray] = []
+        self.extend(tuple(blocks_B))
+
+    def __len__(self) -> int:
+        return len(self.blocks_B)
+
+    def extend(self, new: tuple[HermitianOperator, ...]) -> None:
+        if not new:
+            return
+        fresh = [np.stack([b.blocks[c] for b in new]) for c in range(len(new[0].blocks))]
+        lows, tops, positives = zip(*(_payoff_summary(stack) for stack in fresh))
+        masses = sum(np.trace(p, axis1=1, axis2=2).real for p in positives)
+        if self.blocks_B:
+            fresh = [np.concatenate(pair) for pair in zip(self.stacks, fresh)]
+            positives = [np.concatenate(pair) for pair in zip(self.positives, positives)]
+        else:
+            self._screens = [np.zeros((0, 0)) for _ in fresh]
+        self.blocks_B += new
+        self.stacks = fresh
+        self.positives = list(positives)
+        self.lows = np.concatenate((self.lows, np.min(lows, axis=0)))
+        self.tops = np.concatenate((self.tops, np.max(tops, axis=0)))
+        self.masses = np.concatenate((self.masses, masses))
+
+    def screen(self, c: int) -> np.ndarray:
+        """The swap screen of algebra block ``c`` over all payoffs laid out."""
+
+        if len(self._screens[c]) < len(self):
+            self._screens[c] = _grow_screen(self.stacks[c], self._screens[c])
+        return self._screens[c]
+
+
 def _solve_from_blocks(
     algebra: Algebra,
-    blocks_B: tuple[HermitianOperator, ...],
+    layout: PayoffLayout,
     opts: SolveOptions,
     warm: KPoint | None,
 ) -> MaximizerSolution:
-    m = len(blocks_B)
+    m = len(layout)
     nblocks = len(algebra.signature)
-    scale = max(1.0, max(op_norm(b) for b in blocks_B))
+    blocks_B = layout.blocks_B
+    scale = max(1.0, float(np.max(np.maximum(np.abs(layout.lows), np.abs(layout.tops)))))
 
     if warm is not None:
         if len(warm.xs) != m:
@@ -353,9 +411,9 @@ def _solve_from_blocks(
 
     # fast path: when every payoff matrix is <= 0, zero is a maximizer,
     # whatever the warm start
-    if all(max_eigenvalue(b) <= 0.0 for b in blocks_B):
+    if np.all(layout.tops <= 0.0):
         point = KPoint.zeros(algebra, m - 1)
-        dual = dual_upper_bound(blocks_B)
+        dual = dual_upper_bound(layout)
         return MaximizerSolution(
             point=point,
             objective=0.0,
@@ -370,11 +428,12 @@ def _solve_from_blocks(
     xs_arr = [
         [np.array(xs_ops[r].blocks[c]) for r in range(m)] for c in range(nblocks)
     ]
-    bs_arr = [np.stack([b.blocks[c] for b in blocks_B]) for c in range(nblocks)]
+    stacks = layout.stacks
+    screens = [layout.screen(c) for c in range(nblocks)]
 
-    dual = dual_upper_bound(blocks_B)
+    dual = dual_upper_bound(layout)
     runs = [
-        _ascend_block(bs_arr[c], xs_arr[c], opts.max_sweeps, False)
+        _ascend_block(stacks[c], xs_arr[c], opts.max_sweeps, False, screens[c])
         for c in range(nblocks)
     ]
     total_sweeps = max(sw for sw, _ in runs)
@@ -383,7 +442,7 @@ def _solve_from_blocks(
         # polish to a literal fixed point of the block update; the pointwise
         # inequality is a first-order condition there, independent of the gap
         total_sweeps += max(
-            _ascend_block(bs_arr[c], xs_arr[c], 30, True)[0]
+            _ascend_block(stacks[c], xs_arr[c], 30, True, screens[c])[0]
             for c in range(nblocks)
         )
 
@@ -493,7 +552,7 @@ def solve_maximizer(
     """
 
     _, blocks = _state_problem(a, lam, n, state, ext)
-    return _solve_from_blocks(state.algebra, blocks, opts, warm)
+    return _solve_from_blocks(state.algebra, PayoffLayout(blocks), opts, warm)
 
 
 def _spectral_positive_part(w: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -513,15 +572,16 @@ def _slices(stack: np.ndarray) -> list[slice]:
     return [slice(i, i + step) for i in range(0, len(stack), step)]
 
 
-def _payoff_summary(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per payoff of one block: largest eigenvalue and Tr (B_r)_+."""
+def _payoff_summary(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per payoff of one block: least and largest eigenvalue and (B_r)_+."""
 
-    tops, masses = [], []
+    lows, tops, positives = [], [], []
     for part in _slices(stack):
         w, u = eigh_stack(stack[part])
+        lows.append(w[:, 0])
         tops.append(w[:, -1])
-        masses.append(np.trace(_spectral_positive_part(w, u), axis1=1, axis2=2).real)
-    return np.concatenate(tops), np.concatenate(masses)
+        positives.append(_spectral_positive_part(w, u))
+    return np.concatenate(lows), np.concatenate(tops), np.concatenate(positives)
 
 
 def _witness_spectrum(
@@ -544,7 +604,7 @@ def _witness_spectrum(
     return np.min(lows, axis=0), np.max(highs, axis=0)
 
 
-def dual_upper_bound(blocks_B: tuple[HermitianOperator, ...]) -> float:
+def dual_upper_bound(blocks_B: tuple[HermitianOperator, ...] | PayoffLayout) -> float:
     """Least trace among verified dual witnesses Z >= B_r, Z >= 0.
 
     The candidates fold from zero, ``Z <- Z + (B_r - Z)_+``, in several
@@ -556,36 +616,38 @@ def dual_upper_bound(blocks_B: tuple[HermitianOperator, ...]) -> float:
     added back, so the returned value is a true bound up to eigensolver
     accuracy.
 
-    Evaluation is stacked: each algebra block holds its payoffs as one
-    ``(m, d, d)`` array, every fold step runs for all sweep orders in one
-    batched decomposition, and a candidate's witness check decomposes
-    ``[Z; Z - B_0; ...; Z - B_{m-1}]`` once per pass, in slices of about
-    ``STACK_SLICE_BYTES``.  Acceptance is ``is_psd``'s rule per operator,
+    ``blocks_B`` is the payoffs or their ``PayoffLayout``, whose stacks
+    and spectra the bound reads.  Evaluation is stacked: each algebra
+    block holds its payoffs as one ``(m, d, d)`` array, every fold step
+    runs for all sweep orders in one batched decomposition, and a
+    candidate's witness check decomposes ``[Z; Z - B_0; ...; Z - B_{m-1}]``
+    once per pass, in slices of about ``STACK_SLICE_BYTES``.  Acceptance is ``is_psd``'s rule per operator,
     over all blocks of that operator.
     """
 
-    bs = tuple(blocks_B)
-    if not bs:
+    layout = blocks_B if isinstance(blocks_B, PayoffLayout) else PayoffLayout(blocks_B)
+    m = len(layout)
+    if not m:
         return 0.0
-    m = len(bs)
-    dims = bs[0].dims
+    stacks = layout.stacks
+    dims = [stack.shape[1] for stack in stacks]
     total_dim = sum(dims)
-    stacks = [np.stack([b.blocks[c] for b in bs]) for c in range(len(dims))]
-    tops, masses = zip(*(_payoff_summary(stack) for stack in stacks))
     orders = {tuple(range(m)), tuple(reversed(range(m)))}
-    top = np.max(tops, axis=0)
-    orders.add(tuple(int(i) for i in np.argsort(-top, kind="stable")))
-    mass = sum(masses)
-    orders.add(tuple(int(i) for i in np.argsort(-mass, kind="stable")))
+    orders.add(tuple(int(i) for i in np.argsort(-layout.tops, kind="stable")))
+    orders.add(tuple(int(i) for i in np.argsort(-layout.masses, kind="stable")))
     orders = sorted(orders)
 
-    # fold every order at once: step t adds (B_{order[t]} - Z)_+ to each Z
+    # fold every order at once: step t adds (B_{order[t]} - Z)_+ to each Z;
+    # at step 0 Z is still 0, so the step adds the laid-out (B_r)_+
     folds = [np.zeros((len(orders), d, d), dtype=np.complex128) for d in dims]
     for t in range(m):
         idx = [order[t] for order in orders]
         for c, stack in enumerate(stacks):
-            w, u = eigh_stack(stack[idx] - folds[c])
-            folds[c] = folds[c] + _spectral_positive_part(w, u)
+            if t == 0:
+                step = layout.positives[c][idx]
+            else:
+                step = _spectral_positive_part(*eigh_stack(stack[idx] - folds[c]))
+            folds[c] = folds[c] + step
     candidates = [[fc[k] for fc in folds] for k in range(len(orders))]
 
     def witness_value(z: list[np.ndarray], lo: np.ndarray) -> float:
@@ -656,7 +718,8 @@ class ProjectionPath:
     ``action``.  Order n is solved the first time it is asked for,
     warm-started from order n-1's point with a zero coordinate appended
     (order 0 starts cold).  Of the K-points only the latest is kept, for
-    the next warm start.  The certificate functions validate the problem
+    the next warm start.  ``payoffs`` is the ``PayoffLayout`` of the
+    orders solved so far, extended by one payoff per order.  The certificate functions validate the problem
     and check that a path they are given was built for it.
     """
 
@@ -676,7 +739,7 @@ class ProjectionPath:
         self.steps: list[PathStep] = []
         self._seq: list[BlockMatrix] = []
         self._gen = _averages(action.apply, a.rep, None)
-        self._blocks_B: tuple[HermitianOperator, ...] = ()
+        self.payoffs = PayoffLayout()
         self._point: KPoint | None = None
 
     def averages(self, n: int) -> list[BlockMatrix]:
@@ -693,13 +756,13 @@ class ProjectionPath:
             raise InputError(f"order must be >= 0, got {n}")
         algebra = self.action.algebra
         while len(self.steps) <= n:
-            k = len(self._blocks_B)
+            k = len(self.payoffs)
             seq = self.averages(len(self.steps))
-            self._blocks_B += _payoffs(seq[k:], self.lam, self.density, k)
+            self.payoffs.extend(_payoffs(seq[k:], self.lam, self.density, k))
             warm = None
             if self._point is not None:
                 warm = KPoint(self._point.xs + (algebra.zeros(),))
-            sol = _solve_from_blocks(algebra, self._blocks_B, self.opts, warm)
+            sol = _solve_from_blocks(algebra, self.payoffs, self.opts, warm)
             e, eps = extract_projection(sol, self.opts.eps_kernel, self.opts.strict_cuts)
             self._point = sol.point
             self.steps.append(
@@ -1132,6 +1195,8 @@ def type_infinity_check(
 
     if samples < 1:
         raise InputError(f"need at least one sample, got {samples}")
+    if horizon < 1:
+        raise InputError(f"horizon must be >= 1, got {horizon}")
     algebra = T.algebra
     rng = np.random.default_rng(SAMPLER_SEED)
     tests = [algebra.identity()]

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergocert import maximal
+from ergocert import linalg, maximal
 from ergocert.algebra import (
     Algebra,
     LOneElement,
     Weight,
+    make_state,
     random_positive_l1,
     random_state,
     spatial_derivative,
@@ -33,12 +34,12 @@ from ergocert.linalg import HermitianOperator, op_norm, positive_part
 from ergocert.maximal import (
     Certificate,
     KPoint,
+    PayoffLayout,
     ProjectionPath,
     SolveOptions,
     _ascend_block,
     _payoffs,
     _point_objective,
-    _swap_screen,
     commutative_oracle,
     diagonal_instance,
     dual_upper_bound,
@@ -288,7 +289,7 @@ def test_monotone_ascent_per_sweep():
     values = []
     for budget in range(1, 9):
         xs = [np.zeros((d, d), dtype=np.complex128) for _ in bs]
-        _ascend_block(bs, xs, budget, True)
+        _ascend_block(bs, xs, budget, True, reference_swap_screen(bs))
         values.append(sum(float(np.vdot(b, x).real) for b, x in zip(bs, xs)))
     for lo, hi in zip(values, values[1:]):
         assert hi >= lo - 1e-12
@@ -366,18 +367,43 @@ def _assert_stacked_kernels_match(blocks):
     got = dual_upper_bound(blocks)
     ref = reference_dual_upper_bound(blocks)
     assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+    layout = PayoffLayout(blocks)
     for c in range(len(blocks[0].dims)):
         stack = np.stack([b.blocks[c] for b in blocks])
-        assert np.array_equal(_swap_screen(stack), reference_swap_screen(list(stack)))
+        assert np.array_equal(layout.stacks[c], stack)
+        assert np.array_equal(layout.screen(c), reference_swap_screen(list(stack)))
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def _assert_same_layout(grown, whole):
+    assert grown.blocks_B == whole.blocks_B
+    for name in ("lows", "tops", "masses"):
+        assert _same_bits(getattr(grown, name), getattr(whole, name))
+    for c in range(len(whole.stacks)):
+        assert _same_bits(grown.stacks[c], whole.stacks[c])
+        assert _same_bits(grown.positives[c], whole.positives[c])
+        assert _same_bits(grown.screen(c), whole.screen(c))
 
 
 def test_stacked_kernels_match_per_operator_reference():
-    # corpus payoffs: the prefixes of an order-20 sequence give m = 1 ... 21
+    # corpus payoffs: the prefixes of an order-20 sequence give m = 1 ... 21;
+    # a layout grown one payoff at a time equals each prefix's laid out at once
     for seed in (0, 1, 2):
         inst = suite_instance(seed)
         blocks = _state_payoffs(inst.a, inst.lam, 20, inst.state, inst.ext)
+        grown = PayoffLayout()
         for m in range(1, 22):
             _assert_stacked_kernels_match(blocks[:m])
+            grown.extend(blocks[m - 1 : m])
+            _assert_same_layout(grown, PayoffLayout(blocks[:m]))
+        # screen rows of several new payoffs at once, as after fast-path orders
+        chunked = PayoffLayout(blocks[:7])
+        chunked.screen(0)
+        chunked.extend(blocks[7:])
+        _assert_same_layout(chunked, grown)
     for seed, dims in ((5, (2, 1)), (6, (3,)), (7, (1, 1, 1))):
         _, state, a, ext = _certified_instance(seed, dims=dims)
         for lam in (0.5, 1.0):
@@ -393,6 +419,53 @@ def test_stacked_kernels_match_per_operator_reference():
         _, state, a, ext = diagonal_instance(rng.uniform(0.0, 2.5, 3), mu, P)
         blocks = _state_payoffs(a, 1.0, 8, state, ext)
         _assert_stacked_kernels_match(blocks)
+
+
+def test_path_lays_out_each_payoff_once(monkeypatch):
+    # each payoff block is decomposed once, in the stacked kernels and never
+    # per operator, and each screen entry is computed once, however many
+    # orders are solved
+    _, state, a, ext = _certified_instance(5)
+    n = 8
+    stacked, screened, decomposed = [], [], []
+
+    def spy(record, real, seen):
+        def wrapper(x, *args):
+            record.extend(seen(x))
+            return real(x, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        maximal, "eigh_stack", spy(stacked, maximal.eigh_stack, lambda x: [m.tobytes() for m in x])
+    )
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy(screened, np.linalg.eigvalsh, lambda x: x))
+    # the operators themselves, so that no recorded id is reused
+    monkeypatch.setattr(linalg, "eigh", spy(decomposed, linalg.eigh, lambda A: [A]))
+    path = ProjectionPath(a, 0.5, state.rho, ext.l1_action)
+    path.step(n)
+    payoffs = path.payoffs
+    assert len(payoffs) == n + 1
+    blocks = [b.tobytes() for B in payoffs.blocks_B for b in B.blocks]
+    assert [stacked.count(b) for b in blocks] == [1] * len(blocks)
+    assert not {id(B) for B in payoffs.blocks_B} & {id(A) for A in decomposed}
+    # the last order reaches the ascent, so its screen covers every payoff
+    assert np.any(payoffs.tops > 0.0)
+    assert len(screened) == len(state.algebra.signature) * (n + 1) ** 2
+
+
+def test_payoffs_near_the_float_limit_certify():
+    # halving before the hermitian sum keeps every payoff finite
+    algebra = Algebra((2,))
+    state = make_state(algebra, HermitianOperator([np.diag([0.7, 0.3])]))
+    T = PositiveMapModel.from_kraus(
+        algebra,
+        [np.array([[0.6, 0.0], [0.3, 0.2]]), np.array([[0.1, 0.0], [0.2, 0.5]])],
+    )
+    ext = extend_l1(T, state)
+    for diag, n in (((6e307, 3e307), 1), ((1e308, 5e307), 0)):
+        a = LOneElement(HermitianOperator([np.diag(diag)]))
+        assert pointwise_certificate(a, 1.0, n, state, ext).passed
 
 
 def test_dual_reconstruction_guard_fires(monkeypatch):
@@ -796,6 +869,8 @@ def test_type_infinity_rejects_expanding_map():
     assert not type_infinity_check(doubling, samples=2, horizon=3)
     with pytest.raises(InputError):
         type_infinity_check(doubling, samples=0)
+    with pytest.raises(InputError):
+        type_infinity_check(doubling, samples=2, horizon=0)
 
 
 # -- property: diagonal agreement over seeds ------------------------------------------
