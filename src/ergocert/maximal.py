@@ -34,9 +34,11 @@ from .dynamics import (
     DEFAULT_CONDITION_TOL,
     DEFAULT_SAMPLES,
     ExtendedMap,
+    Pedigree,
     PositiveMapModel,
     _averages,
     _condition_report,
+    _is_index,
     cesaro_reps,
 )
 from .errors import (
@@ -1187,27 +1189,37 @@ def pre_weak_type_predicate(
 def type_infinity_check(
     T: PositiveMapModel, samples: int = 12, horizon: int = 20
 ) -> bool:
-    """Uniform-norm contraction of all averages on sampled positives.
+    """Uniform-norm contraction of the averages S_1, ..., S_horizon.
 
-    Checks ``||S_r(x)|| <= ||x|| + 1e-9`` for the identity and for
-    seeded random positive elements, r up to the horizon.
+    Draws ``samples`` seeded random positive elements x.  A map whose
+    positivity is exact (``Pedigree.CONSTRUCTED_POSITIVE``) is tested on
+    the identity alone, ``||S_r(1)|| <= 1 + 1e-9 / N`` with N the largest
+    of 1 and the samples' norms: for positive S_r, 0 <= x <= ||x|| 1 gives
+    ``||S_r(x)|| <= ||x|| ||S_r(1)|| <= ||x|| + 1e-9`` for every sample, so
+    the rule is never looser than the sampled one.  Any other map is
+    tested on the identity and every sample, ``||S_r(x)|| <= ||x|| + 1e-9``.
     """
 
-    if samples < 1:
-        raise InputError(f"need at least one sample, got {samples}")
-    if horizon < 1:
-        raise InputError(f"horizon must be >= 1, got {horizon}")
+    if not _is_index(samples) or samples < 1:
+        raise InputError(f"need a whole number of samples >= 1, got {samples!r}")
+    if not _is_index(horizon) or horizon < 1:
+        raise InputError(f"horizon must be a whole number >= 1, got {horizon!r}")
     algebra = T.algebra
     rng = np.random.default_rng(SAMPLER_SEED)
-    tests = [algebra.identity()]
+    drawn = []
     for _ in range(samples):
         blocks = []
         for d in algebra.signature:
             g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             blocks.append(g @ g.conj().T)
-        tests.append(HermitianOperator._exact(blocks))
-    for x in tests:
-        bound = op_norm(x) + 1e-9
+        drawn.append(HermitianOperator._exact(blocks))
+    one = algebra.identity()
+    if T.pedigree is Pedigree.CONSTRUCTED_POSITIVE:
+        scale = max(1.0, max(op_norm(x) for x in drawn))
+        tests = [(one, 1.0 + 1e-9 / scale)]
+    else:
+        tests = [(x, op_norm(x) + 1e-9) for x in (one, *drawn)]
+    for x, bound in tests:
         averages = islice(_averages(T.apply, x, horizon), 1, None)
         if any(op_norm(s_r) > bound for s_r in averages):
             return False

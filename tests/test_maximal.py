@@ -1,5 +1,7 @@
 """Maximizer, projections, certificates, and the commuting reference."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from ergocert.algebra import (
     spatial_derivative,
 )
 from ergocert.dynamics import (
+    Pedigree,
     PositiveMapModel,
     cesaro_reps,
     extend_l1,
@@ -871,6 +874,80 @@ def test_type_infinity_rejects_expanding_map():
         type_infinity_check(doubling, samples=0)
     with pytest.raises(InputError):
         type_infinity_check(doubling, samples=2, horizon=0)
+    for bad in ({"horizon": 2.5}, {"samples": 2.5}, {"horizon": math.inf}):
+        with pytest.raises(InputError):
+            type_infinity_check(doubling, **bad)
+
+
+def _sampled_norms(algebra, samples):
+    # the check's own draw: seeded complex Gaussians g, test elements g g*
+    rng = np.random.default_rng(maximal.SAMPLER_SEED)
+    norms = []
+    for _ in range(samples):
+        blocks = []
+        for d in algebra.signature:
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            blocks.append(g @ g.conj().T)
+        norms.append(op_norm(HermitianOperator._exact(blocks)))
+    return norms
+
+
+def test_type_infinity_tests_a_constructed_map_on_the_identity_alone(monkeypatch):
+    # exact positivity: S_1(1), ..., S_horizon(1) take horizon applications,
+    # and the samples only set the bound
+    algebra = Algebra((2, 3))
+    model = random_certified_map(12, algebra, random_state(3, algebra))
+    assert model.pedigree is Pedigree.CONSTRUCTED_POSITIVE
+    applied, averaged = [], []
+    real_apply, real_averages = PositiveMapModel.apply, maximal._averages
+
+    def counting(T, x):
+        applied.append(x)
+        return real_apply(T, x)
+
+    def recording(step, x, n):
+        averaged.append(x)
+        return real_averages(step, x, n)
+
+    monkeypatch.setattr(PositiveMapModel, "apply", counting)
+    monkeypatch.setattr(maximal, "_averages", recording)
+    one = algebra.identity()
+    for horizon in (1, 7, 20):
+        applied.clear()
+        averaged.clear()
+        assert type_infinity_check(model, samples=12, horizon=horizon)
+        assert len(applied) == horizon
+        assert len(averaged) == 1
+        assert all(np.array_equal(b, i) for b, i in zip(averaged[0].blocks, one.blocks))
+
+
+def test_type_infinity_identity_bound_is_no_looser():
+    # T(x) = (1 + eps) x at horizon 1: S_1(1) = 1 + eps/2 is inside the
+    # identity's own 1 + 1e-9, but a sample x of norm above 2 has
+    # ||S_1(x)|| = ||x|| (1 + eps/2) > ||x|| + 1e-9
+    algebra = Algebra((2,))
+    eps = 1e-9
+    grown = PositiveMapModel.from_kraus(
+        algebra, [np.eye(2, dtype=np.complex128)], [1.0 + eps]
+    )
+    assert op_norm(cesaro_reps(grown, algebra.identity(), 1)[1]) <= 1.0 + 1e-9
+    assert max(_sampled_norms(algebra, 12)) > 2.0
+    assert not type_infinity_check(grown, samples=12, horizon=1)
+
+
+def test_type_infinity_samples_maps_of_inexact_positivity():
+    # x -> x + c (x11 - x22) sigma_z is unital and hermiticity-preserving
+    # but sends diag(1, 0) to diag(1 + c, -c): only the samples catch it
+    algebra = Algebra((2,))
+    c = 0.5
+    matrix = np.eye(4)
+    matrix[0, 0] = matrix[3, 3] = 1.0 + c
+    matrix[0, 3] = matrix[3, 0] = -c
+    for pedigree in (Pedigree.UNVERIFIED, Pedigree.SAMPLED_POSITIVE):
+        model = PositiveMapModel.from_superop(algebra, matrix, pedigree)
+        identity_averages = cesaro_reps(model, algebra.identity(), 20)
+        assert all(op_norm(s) <= 1.0 + 1e-9 for s in identity_averages)
+        assert not type_infinity_check(model)
 
 
 # -- property: diagonal agreement over seeds ------------------------------------------
