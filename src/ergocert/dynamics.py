@@ -180,6 +180,19 @@ class PositiveMapModel:
         matrix: np.ndarray,
         pedigree: Pedigree = Pedigree.UNVERIFIED,
     ) -> "PositiveMapModel":
+        """A map given by its matrix on concatenated block entries.
+
+        Nothing here proves a matrix positive, so the pedigree is
+        ``UNVERIFIED`` or ``SAMPLED_POSITIVE``; ``CONSTRUCTED_POSITIVE``,
+        which the sup-norm and contraction checks take as proof, raises
+        ``InputError``.
+        """
+
+        if pedigree is Pedigree.CONSTRUCTED_POSITIVE:
+            raise InputError(
+                "a superoperator cannot be marked constructed-positive; "
+                "build the map from Kraus operators instead"
+            )
         m = np.array(matrix, dtype=np.complex128, copy=True, order="C")
         c = algebra.coeff_dim
         if m.shape != (c, c):

@@ -24,7 +24,7 @@ residual slacks (pass means every slack is ``>= -tol``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import islice
 
 import numpy as np
@@ -135,17 +135,58 @@ class KPoint:
         return cls(tuple(algebra.zeros() for _ in range(n + 1)))
 
 
+class _LazyDualBound:
+    """``dual_upper_bound`` of a layout's first m payoffs, computed on first call.
+
+    It holds the layout itself, not a copy.  A layout only appends
+    payoffs, so the prefix view taken at the first call has the bytes the
+    layout had at m payoffs, however far it has grown since.  The layout
+    is released once the value is cached.
+    """
+
+    __slots__ = ("_layout", "_m", "_value")
+
+    def __init__(self, layout: "PayoffLayout", m: int):
+        self._layout: PayoffLayout | None = layout
+        self._m = m
+        self._value: float | None = None
+
+    def __call__(self) -> float:
+        if self._value is None:
+            self._value = dual_upper_bound(self._layout.prefix(self._m))
+            self._layout = None
+        return self._value
+
+
+class _ReadsDualBound:
+    """``dual_bound`` and ``gap`` of a solve, from its lazy ``_dual``."""
+
+    @property
+    def dual_bound(self) -> float:
+        return self._dual()
+
+    @property
+    def gap(self) -> float:
+        return max(0.0, self.dual_bound - self.objective)
+
+
 @dataclass(frozen=True, eq=False)
-class MaximizerSolution:
-    """Primal point, value, dual bound, and bookkeeping of one solve."""
+class MaximizerSolution(_ReadsDualBound):
+    """Primal point, value, dual bound, and bookkeeping of one solve.
+
+    ``dual_bound`` is ``dual_upper_bound`` of the solve's payoffs
+    B_0, ..., B_n, computed the first time ``dual_bound`` or ``gap`` is
+    read and then cached; ``gap`` is ``max(0, dual_bound - objective)``.
+    A solve whose ascent ran out of sweeps has computed it already,
+    because ``stalled`` is decided by the gap.
+    """
 
     point: KPoint
     objective: float
-    dual_bound: float
-    gap: float
     sweeps: int
     blocks_B: tuple[HermitianOperator, ...]
     stalled: bool
+    _dual: _LazyDualBound = field(repr=False)
 
     @property
     def order(self) -> int:
@@ -363,6 +404,21 @@ class PayoffLayout:
     def __len__(self) -> int:
         return len(self.blocks_B)
 
+    def prefix(self, m: int) -> "PayoffLayout":
+        """The first m payoffs, as views of the arrays laid out now.
+
+        ``extend`` only appends, so the view holds the bytes this layout
+        held when it had m payoffs.
+        """
+
+        view = object.__new__(PayoffLayout)
+        view.blocks_B = self.blocks_B[:m]
+        view.stacks = [stack[:m] for stack in self.stacks]
+        view.positives = [pos[:m] for pos in self.positives]
+        view.lows, view.tops, view.masses = self.lows[:m], self.tops[:m], self.masses[:m]
+        view._screens = [screen[:m, :m] for screen in self._screens]
+        return view
+
     def extend(self, new: tuple[HermitianOperator, ...]) -> None:
         if not new:
             return
@@ -398,6 +454,7 @@ def _solve_from_blocks(
     m = len(layout)
     nblocks = len(algebra.signature)
     blocks_B = layout.blocks_B
+    dual = _LazyDualBound(layout, m)
     scale = max(1.0, float(np.max(np.maximum(np.abs(layout.lows), np.abs(layout.tops)))))
 
     if warm is not None:
@@ -414,16 +471,13 @@ def _solve_from_blocks(
     # fast path: when every payoff matrix is <= 0, zero is a maximizer,
     # whatever the warm start
     if np.all(layout.tops <= 0.0):
-        point = KPoint.zeros(algebra, m - 1)
-        dual = dual_upper_bound(layout)
         return MaximizerSolution(
-            point=point,
+            point=KPoint.zeros(algebra, m - 1),
             objective=0.0,
-            dual_bound=dual,
-            gap=max(0.0, dual),
             sweeps=0,
             blocks_B=blocks_B,
             stalled=False,
+            _dual=dual,
         )
 
     # split into per-block dense problems (payoffs are block-diagonal)
@@ -433,7 +487,6 @@ def _solve_from_blocks(
     stacks = layout.stacks
     screens = [layout.screen(c) for c in range(nblocks)]
 
-    dual = dual_upper_bound(layout)
     runs = [
         _ascend_block(stacks[c], xs_arr[c], opts.max_sweeps, False, screens[c])
         for c in range(nblocks)
@@ -454,16 +507,15 @@ def _solve_from_blocks(
     ]
     point = KPoint(tuple(xs_ops))
     objective = _point_objective(blocks_B, xs_ops)
-    gap = max(0.0, dual - objective)
-    stalled = stalled and gap > STALL_GAP * scale
+    # only a run out of sweeps is judged by its gap, so only it needs the bound now
+    stalled = stalled and max(0.0, dual() - objective) > STALL_GAP * scale
     return MaximizerSolution(
         point=point,
         objective=objective,
-        dual_bound=dual,
-        gap=gap,
         sweeps=total_sweeps,
         blocks_B=blocks_B,
         stalled=stalled,
+        _dual=dual,
     )
 
 
@@ -550,7 +602,10 @@ def solve_maximizer(
     that exhausted ``opts.max_sweeps`` while the duality gap stayed above
     ``STALL_GAP`` times the payoff scale.  A solve is the ascent until an
     objective gain falls below ``TOL_OBJ`` relative, then at most 30
-    sweeps to a literal fixed point of the block update.
+    sweeps to a literal fixed point of the block update.  The dual bound
+    of B_0, ..., B_n is computed when ``dual_bound`` or ``gap`` is first
+    read, or at once when the ascent ran out of sweeps, since ``stalled``
+    needs the gap.
     """
 
     _, blocks = _state_problem(a, lam, n, state, ext)
@@ -700,16 +755,20 @@ def extract_projection(
 
 
 @dataclass(frozen=True, eq=False)
-class PathStep:
-    """Order n of a projection path: e_n, its kernel cut width and the solve's numbers."""
+class PathStep(_ReadsDualBound):
+    """Order n of a projection path: e_n, its kernel cut width and the solve's numbers.
+
+    ``dual_bound`` and ``gap`` are the solve's, computed on first read
+    from the first n+1 payoffs of the path's layout (see
+    ``MaximizerSolution``); the step does not keep the solve's K-point.
+    """
 
     projection: HermitianOperator
     eps_kernel: float
     objective: float
-    dual_bound: float
-    gap: float
     sweeps: int
     stalled: bool
+    _dual: _LazyDualBound = field(repr=False)
 
 
 class ProjectionPath:
@@ -721,8 +780,12 @@ class ProjectionPath:
     warm-started from order n-1's point with a zero coordinate appended
     (order 0 starts cold).  Of the K-points only the latest is kept, for
     the next warm start.  ``payoffs`` is the ``PayoffLayout`` of the
-    orders solved so far, extended by one payoff per order.  The certificate functions validate the problem
-    and check that a path they are given was built for it.
+    orders solved so far, extended by one payoff per order.  A step's dual
+    bound is computed on first read, from the first n+1 payoffs of that
+    layout, so orders whose bound no record reads (the limit orders) never
+    compute one; a solve that ran out of sweeps computes it at once.  The
+    certificate functions validate the problem and check that a path they
+    are given was built for it.
     """
 
     def __init__(
@@ -768,9 +831,7 @@ class ProjectionPath:
             e, eps = extract_projection(sol, self.opts.eps_kernel, self.opts.strict_cuts)
             self._point = sol.point
             self.steps.append(
-                PathStep(
-                    e, eps, sol.objective, sol.dual_bound, sol.gap, sol.sweeps, sol.stalled
-                )
+                PathStep(e, eps, sol.objective, sol.sweeps, sol.stalled, sol._dual)
             )
         return self.steps[n]
 

@@ -5,7 +5,8 @@ see identical data.  Oracles used by the tests (power iteration, scalar
 recursions) live next to the tests that use them, not here.  The
 exceptions are the per-operator references for the stacked kernels of
 ``maximal``, kept here as the code those kernels replaced, and the shift
-comparison point the solver no longer builds itself.
+comparison point the solver no longer builds itself, and the spies on
+when the solver computes its dual bound.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 
 import numpy as np
 
+from ergocert import maximal
 from ergocert.linalg import (
     BlockMatrix,
     HermitianOperator,
@@ -144,3 +146,30 @@ def perturbed_eigh(delta: float, max_entry: float = math.inf):
         return w, u
 
     return fake
+
+
+def count_dual_calls(monkeypatch) -> list[int]:
+    """The payoff count of every dual bound computed from now on in the test."""
+
+    calls = []
+    real = maximal.dual_upper_bound
+
+    def counting(layout):
+        calls.append(len(layout))
+        return real(layout)
+
+    monkeypatch.setattr(maximal, "dual_upper_bound", counting)
+    return calls
+
+
+def read_every_bound_at_once(monkeypatch) -> None:
+    """Make every solve read its dual bound as soon as it returns."""
+
+    real = maximal._solve_from_blocks
+
+    def eager(*args):
+        sol = real(*args)
+        sol.dual_bound
+        return sol
+
+    monkeypatch.setattr(maximal, "_solve_from_blocks", eager)

@@ -118,6 +118,18 @@ def test_from_superop_rejects_hermiticity_breaker():
         PositiveMapModel.from_superop(M2, m)
 
 
+def test_from_superop_refuses_the_constructed_pedigree():
+    # x -> x + (x11 - x22)/2 sigma_z is hermiticity-preserving and not
+    # positive: it sends diag(1, 0) to diag(3/2, -1/2)
+    m = np.eye(4, dtype=complex)
+    m[0, 0] = m[3, 3] = 1.5
+    m[0, 3] = m[3, 0] = -0.5
+    with pytest.raises(InputError):
+        PositiveMapModel.from_superop(M2, m, Pedigree.CONSTRUCTED_POSITIVE)
+    for pedigree in (Pedigree.UNVERIFIED, Pedigree.SAMPLED_POSITIVE):
+        assert PositiveMapModel.from_superop(M2, m, pedigree).pedigree is pedigree
+
+
 def test_from_kraus_validates_shapes_and_weights():
     with pytest.raises(DimensionMismatch):
         PositiveMapModel.from_kraus(M2, [np.eye(3)])

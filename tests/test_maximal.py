@@ -59,6 +59,7 @@ from ergocert.maximal import (
 from ergocert.suite import suite_instance
 
 from helpers import (
+    count_dual_calls,
     perturbed_eigh,
     reference_dual_upper_bound,
     reference_swap_screen,
@@ -457,6 +458,26 @@ def test_path_lays_out_each_payoff_once(monkeypatch):
     assert len(screened) == len(state.algebra.signature) * (n + 1) ** 2
 
 
+def test_lazy_dual_bound_reads_the_prefix_of_a_grown_path(monkeypatch):
+    # the limit reads no bound; a step's bound, read once the path has grown
+    # to the horizon, is that of its own order's payoffs, and it is cached
+    _, state, a, ext = _certified_instance(5)
+    horizon = 8
+    real = maximal.dual_upper_bound
+    calls = count_dual_calls(monkeypatch)
+    path = ProjectionPath(a, 0.5, state.rho, ext.l1_action)
+    uniform_projection(a, 0.5, horizon, state, ext, path=path)
+    assert len(path.payoffs) == horizon + 1
+    assert not any(step.stalled for step in path.steps)
+    assert calls == []
+    assert any(step.sweeps > 0 for step in path.steps)
+    for n, step in enumerate(path.steps):
+        assert step.dual_bound == real(path.payoffs.blocks_B[: n + 1])
+        assert step.gap == max(0.0, step.dual_bound - step.objective)
+    # each step was read twice and computed once
+    assert calls == [n + 1 for n in range(horizon + 1)]
+
+
 def test_payoffs_near_the_float_limit_certify():
     # halving before the hermitian sum keeps every payoff finite
     algebra = Algebra((2,))
@@ -488,6 +509,18 @@ def test_stalled_flag_reports_exhausted_budget():
     assert sol.gap > 0.0
     full = solve_maximizer(a, 0.5, 3, state, ext)
     assert not full.stalled
+
+
+def test_only_a_stalled_solve_computes_its_dual_bound_at_once(monkeypatch):
+    _, state, a, ext = _certified_instance(17, trace=6.0)
+    real = maximal.dual_upper_bound
+    calls = count_dual_calls(monkeypatch)
+    stalled = solve_maximizer(a, 0.5, 3, state, ext, SolveOptions(max_sweeps=0))
+    assert stalled.stalled and calls == [4]
+    full = solve_maximizer(a, 0.5, 3, state, ext)
+    assert not full.stalled and calls == [4]
+    assert full.dual_bound == stalled.dual_bound == real(full.blocks_B)
+    assert calls == [4, 4]
 
 
 def test_warm_start_reaches_same_objective():

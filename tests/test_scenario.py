@@ -20,6 +20,8 @@ from ergocert.scenario import (
     run_scenario,
 )
 
+from helpers import count_dual_calls, read_every_bound_at_once
+
 
 def trivial_dict(**over):
     d = {
@@ -354,6 +356,27 @@ def test_run_scenario_solves_each_order_once(monkeypatch, n_max, horizon):
     assert len(report["pointwise"]) == n_max + 1
     # orders 0, 1, ..., max(n_max, horizon), one payoff more per order
     assert calls == [n + 1 for n in range(max(n_max, horizon) + 1)]
+
+
+def test_run_scenario_computes_the_dual_bounds_it_reports(monkeypatch):
+    calls = count_dual_calls(monkeypatch)
+    report = run_scenario(_random_input_scenario(n_max=3, horizon=6))
+    assert report["diagnostics"]["stalled_solves"] == 0
+    # the pointwise orders 0..3; the limit orders 4..6 compute none
+    assert calls == [1, 2, 3, 4]
+    calls.clear()
+    run_scenario(Scenario.from_dict(tracial_dict()))
+    assert calls == []
+
+
+def test_lazy_dual_bounds_leave_reports_byte_identical(monkeypatch):
+    scenarios = [
+        _random_input_scenario(n_max=3, horizon=6),
+        Scenario.from_dict(tracial_dict()),
+    ]
+    lazy = [dumps(run_scenario(sc)) for sc in scenarios]
+    read_every_bound_at_once(monkeypatch)
+    assert [dumps(run_scenario(sc)) for sc in scenarios] == lazy
 
 
 def test_direct_pointwise_certificate_matches_report_record():

@@ -9,6 +9,8 @@ from ergocert.maximal import SolveOptions, pointwise_certificate
 from ergocert.scenario import certificate_record, dumps, export_csv, loads
 from ergocert.suite import SUITE_LAMBDAS, dims_pool, run_suite, suite_instance
 
+from helpers import count_dual_calls, read_every_bound_at_once
+
 
 def test_dims_pool_shapes():
     assert dims_pool([2]) == ((2,),)
@@ -113,6 +115,41 @@ def test_run_suite_counts_each_solve_once(monkeypatch):
     stalled = sum(sol.stalled for sol in solves)
     assert stalled > 0
     assert report["aggregate"]["stalled_solves"] == stalled
+
+
+def test_run_suite_computes_one_dual_bound_per_instance(monkeypatch):
+    calls = count_dual_calls(monkeypatch)
+    report = run_suite(10, 4, dims=[2], horizon=6)
+    assert report["aggregate"]["stalled_solves"] == 0
+    # the pointwise record's order; the limit orders compute none
+    assert calls == [r["order"] + 1 for r in report["instances"]]
+
+
+def test_run_suite_stalled_solves_compute_their_bound_at_once(monkeypatch):
+    # no sweeps: a solve that reaches the ascent runs out of them and
+    # computes its bound at once; the flags and the count are the ones an
+    # eagerly computed bound gives
+    calls = count_dual_calls(monkeypatch)
+    solves = []
+    real = maximal._solve_from_blocks
+
+    def recording(*args):
+        before = len(calls)
+        solves.append((real(*args), len(calls) - before))
+        return solves[-1][0]
+
+    monkeypatch.setattr(maximal, "_solve_from_blocks", recording)
+    report = run_suite(10, 4, dims=[2], horizon=6, opts=SolveOptions(max_sweeps=0))
+    flags = [int(sol.stalled) for sol, _ in solves]
+    assert flags == [1] * 11 + [0] * 12 + [1] * 20
+    assert report["aggregate"]["stalled_solves"] == 31
+    assert all(computed == sol.stalled for sol, computed in solves)
+
+
+def test_lazy_dual_bounds_leave_the_suite_report_byte_identical(monkeypatch):
+    lazy = dumps(run_suite(0, 6))
+    read_every_bound_at_once(monkeypatch)
+    assert dumps(run_suite(0, 6)) == lazy
 
 
 def test_run_suite_reports_the_worst_relative_gap():
