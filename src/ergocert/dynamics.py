@@ -135,6 +135,10 @@ class PositiveMapModel:
     kind "kraus": apply(x) = pinch(sum_i w_i V_i* x V_i) with full-matrix
     Kraus operators V_i and positive weights w_i.  kind "superop": apply
     acts through an explicit matrix on concatenated block entries.
+    Nothing proves such a matrix positive, so a superop model is
+    ``UNVERIFIED`` or ``SAMPLED_POSITIVE``: ``CONSTRUCTED_POSITIVE``,
+    which the sup-norm and contraction checks take as proof, raises
+    ``InputError``.
     """
 
     algebra: Algebra
@@ -143,6 +147,13 @@ class PositiveMapModel:
     kraus_weights: np.ndarray | None = None
     kraus_ops: tuple[np.ndarray, ...] | None = None
     matrix: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.kind == "superop" and self.pedigree is Pedigree.CONSTRUCTED_POSITIVE:
+            raise InputError(
+                "a superoperator cannot be marked constructed-positive; "
+                "build the map from Kraus operators instead"
+            )
 
     @classmethod
     def from_kraus(
@@ -180,19 +191,8 @@ class PositiveMapModel:
         matrix: np.ndarray,
         pedigree: Pedigree = Pedigree.UNVERIFIED,
     ) -> "PositiveMapModel":
-        """A map given by its matrix on concatenated block entries.
+        """A map given by its matrix; the pedigree cannot be ``CONSTRUCTED_POSITIVE``."""
 
-        Nothing here proves a matrix positive, so the pedigree is
-        ``UNVERIFIED`` or ``SAMPLED_POSITIVE``; ``CONSTRUCTED_POSITIVE``,
-        which the sup-norm and contraction checks take as proof, raises
-        ``InputError``.
-        """
-
-        if pedigree is Pedigree.CONSTRUCTED_POSITIVE:
-            raise InputError(
-                "a superoperator cannot be marked constructed-positive; "
-                "build the map from Kraus operators instead"
-            )
         m = np.array(matrix, dtype=np.complex128, copy=True, order="C")
         c = algebra.coeff_dim
         if m.shape != (c, c):

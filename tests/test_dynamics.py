@@ -126,6 +126,8 @@ def test_from_superop_refuses_the_constructed_pedigree():
     m[0, 3] = m[3, 0] = -0.5
     with pytest.raises(InputError):
         PositiveMapModel.from_superop(M2, m, Pedigree.CONSTRUCTED_POSITIVE)
+    with pytest.raises(InputError):
+        PositiveMapModel(M2, "superop", Pedigree.CONSTRUCTED_POSITIVE, matrix=m)
     for pedigree in (Pedigree.UNVERIFIED, Pedigree.SAMPLED_POSITIVE):
         assert PositiveMapModel.from_superop(M2, m, pedigree).pedigree is pedigree
 
