@@ -14,6 +14,7 @@ per exponent on the owning ``State``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,7 @@ from .errors import (
     DimensionMismatch,
     IllConditioned,
     InputError,
+    InvalidExponent,
     NotFaithful,
     NotNormalized,
 )
@@ -189,19 +191,13 @@ def kosaki_norm(x: BlockMatrix, p: float, state: State) -> float:
     """Interpolated p-norm ‖rho^{1/(2p)} x rho^{1/(2p)}‖_{S_p}; p=inf is ‖x‖_op."""
 
     state.algebra.check_member(x)
-    import math
-
     try:
         pf = float(p)
     except (TypeError, ValueError) as exc:
-        from .errors import InvalidExponent
-
         raise InvalidExponent(f"exponent must be a number, got {p!r}") from exc
     if math.isinf(pf):
         return op_norm(x)
     if math.isnan(pf) or pf < 1.0:
-        from .errors import InvalidExponent
-
         raise InvalidExponent(f"Kosaki exponent must satisfy p >= 1, got {p}")
     w = state.power(1.0 / (2.0 * pf))
     return schatten_norm(w @ x @ w, pf)

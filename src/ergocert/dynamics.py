@@ -26,11 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count
+from itertools import count, product
 
 import numpy as np
 
-from .algebra import Algebra, LOneElement, State
+from .algebra import Algebra, LOneElement, State, modular_flow
 from .errors import (
     ConditionsNotMet,
     DimensionMismatch,
@@ -616,6 +616,24 @@ def _partition_pinch(
     return blocks
 
 
+def _modular_invariant(sig, groups, state: State) -> bool:
+    """Whether the modular flow keeps every matrix unit of the partition's
+    subalgebra inside it, at each of ``MODULAR_CHECK_TIMES``."""
+
+    for c, idx_groups in enumerate(groups):
+        for g in idx_groups:
+            for i, j in product(g, repeat=2):
+                blocks = [np.zeros((d, d), dtype=np.complex128) for d in sig]
+                blocks[c][i, j] = 1.0
+                b = BlockMatrix(blocks)
+                for t in MODULAR_CHECK_TIMES:
+                    y = modular_flow(b, t, state)
+                    pinched = BlockMatrix(_partition_pinch(sig, groups, y))
+                    if op_norm(y - pinched) > MODULAR_INVARIANCE_RTOL:
+                        return False
+    return True
+
+
 def example_cond_expectation(
     algebra: Algebra,
     state: State,
@@ -632,35 +650,11 @@ def example_cond_expectation(
     state expectation, hence satisfy conditions (1)-(3).
     """
 
-    from .algebra import modular_flow
-
     if algebra.signature != state.algebra.signature:
         raise DimensionMismatch("state does not live on the given algebra")
     groups = _validate_partition(algebra, partition)
     sig = algebra.signature
-
-    invariant = True
-    for c, (d, idx_groups) in enumerate(zip(sig, groups)):
-        for g in idx_groups:
-            for i in g:
-                for j in g:
-                    blocks = [np.zeros((dd, dd), dtype=np.complex128) for dd in sig]
-                    blocks[c][i, j] = 1.0
-                    b = BlockMatrix(blocks)
-                    for t in MODULAR_CHECK_TIMES:
-                        y = modular_flow(b, t, state)
-                        pinched = BlockMatrix(_partition_pinch(sig, groups, y))
-                        if op_norm(y - pinched) > MODULAR_INVARIANCE_RTOL:
-                            invariant = False
-                            break
-                    if not invariant:
-                        break
-                if not invariant:
-                    break
-            if not invariant:
-                break
-        if not invariant:
-            break
+    invariant = _modular_invariant(sig, groups, state)
 
     n = algebra.total_dim
     offs = _offsets(sig)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -174,6 +175,9 @@ class _ReadsDualBound:
 class MaximizerSolution(_ReadsDualBound):
     """Primal point, value, dual bound, and bookkeeping of one solve.
 
+    ``xs[c][r]`` is block c of coordinate x_r, in the solver's own arrays,
+    each coordinate symmetrized once after the ascent.  ``point`` is the
+    same point as a ``KPoint``, built the first time it is read.
     ``dual_bound`` is ``dual_upper_bound`` of the solve's payoffs
     B_0, ..., B_n, computed the first time ``dual_bound`` or ``gap`` is
     read and then cached; ``gap`` is ``max(0, dual_bound - objective)``.
@@ -181,16 +185,19 @@ class MaximizerSolution(_ReadsDualBound):
     because ``stalled`` is decided by the gap.
     """
 
-    point: KPoint
+    xs: tuple[tuple[np.ndarray, ...], ...]
     objective: float
     sweeps: int
-    blocks_B: tuple[HermitianOperator, ...]
     stalled: bool
     _dual: _LazyDualBound = field(repr=False)
 
     @property
     def order(self) -> int:
-        return self.point.order
+        return len(self.xs[0]) - 1
+
+    @cached_property
+    def point(self) -> KPoint:
+        return KPoint(tuple(HermitianOperator._exact(x) for x in zip(*self.xs)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,7 +332,7 @@ def _ascend_block(
     to_fixed_point: bool,
     screen: np.ndarray,
 ) -> tuple[int, bool]:
-    """Cyclic ascent on one algebra block; mutates xs, returns (sweeps, done).
+    """Cyclic ascent on one algebra block; rebinds xs's entries, returns (sweeps, done).
 
     ``bs`` is the block's ``(m, d, d)`` payoff stack and ``screen`` its
     swap screen (``PayoffLayout.screen``).  Swaps run when there are at
@@ -370,13 +377,18 @@ def _resolve_eps(A: HermitianOperator, eps_kernel: float | None) -> float:
     return scaled_tol(A, KERNEL_EPS)
 
 
-def _point_objective(
-    blocks_B: tuple[HermitianOperator, ...], xs: list[HermitianOperator]
-) -> float:
+def _per_block(ops) -> list[tuple[np.ndarray, ...]]:
+    # [c][r]: block c of operator r
+    return list(zip(*(op.blocks for op in ops)))
+
+
+def _point_objective(stacks, xs) -> float:
+    # g = sum_r Tr(B_r x_r) from per-block payoffs stacks[c][r] and points
+    # xs[c][r], summed over r outside and over blocks inside
     return float(
         sum(
-            sum(_pair(bb, xb) for bb, xb in zip(b.blocks, x.blocks))
-            for b, x in zip(blocks_B, xs)
+            sum(_pair(stack[r], xc[r]) for stack, xc in zip(stacks, xs))
+            for r in range(len(xs[0]))
         )
     )
 
@@ -387,22 +399,22 @@ class PayoffLayout:
     Per algebra block it holds the ``(m, d, d)`` stacks of the payoffs and
     of their positive parts ``(B_r)_+``, and the swap screen; per payoff,
     the least and largest eigenvalue and the positive mass ``Tr (B_r)_+``
-    over all blocks.  ``extend`` appends payoffs and decomposes each new
-    one once, in one checked ``eigh_stack`` per block; ``screen``
+    over all blocks.  The stacks are the one copy of the payoffs kept:
+    ``extend`` lays out the blocks of new payoff operators and decomposes
+    each once, in one checked ``eigh_stack`` per block; ``screen``
     computes the entries of payoffs added since its last call.  Nothing
     laid out is computed again.
     """
 
-    def __init__(self, blocks_B: tuple[HermitianOperator, ...] = ()):
-        self.blocks_B: tuple[HermitianOperator, ...] = ()
+    def __init__(self, payoffs: tuple[HermitianOperator, ...] = ()):
         self.stacks: list[np.ndarray] = []
         self.positives: list[np.ndarray] = []
         self.lows = self.tops = self.masses = np.empty(0)
         self._screens: list[np.ndarray] = []
-        self.extend(tuple(blocks_B))
+        self.extend(tuple(payoffs))
 
     def __len__(self) -> int:
-        return len(self.blocks_B)
+        return len(self.lows)
 
     def prefix(self, m: int) -> "PayoffLayout":
         """The first m payoffs, as views of the arrays laid out now.
@@ -412,7 +424,6 @@ class PayoffLayout:
         """
 
         view = object.__new__(PayoffLayout)
-        view.blocks_B = self.blocks_B[:m]
         view.stacks = [stack[:m] for stack in self.stacks]
         view.positives = [pos[:m] for pos in self.positives]
         view.lows, view.tops, view.masses = self.lows[:m], self.tops[:m], self.masses[:m]
@@ -422,15 +433,14 @@ class PayoffLayout:
     def extend(self, new: tuple[HermitianOperator, ...]) -> None:
         if not new:
             return
-        fresh = [np.stack([b.blocks[c] for b in new]) for c in range(len(new[0].blocks))]
+        fresh = [np.stack(blocks) for blocks in _per_block(new)]
         lows, tops, positives = zip(*(_payoff_summary(stack) for stack in fresh))
         masses = sum(np.trace(p, axis1=1, axis2=2).real for p in positives)
-        if self.blocks_B:
+        if len(self):
             fresh = [np.concatenate(pair) for pair in zip(self.stacks, fresh)]
             positives = [np.concatenate(pair) for pair in zip(self.positives, positives)]
         else:
             self._screens = [np.zeros((0, 0)) for _ in fresh]
-        self.blocks_B += new
         self.stacks = fresh
         self.positives = list(positives)
         self.lows = np.concatenate((self.lows, np.min(lows, axis=0)))
@@ -449,41 +459,24 @@ def _solve_from_blocks(
     algebra: Algebra,
     layout: PayoffLayout,
     opts: SolveOptions,
-    warm: KPoint | None,
+    warm: list[tuple[np.ndarray, ...]] | None,
 ) -> MaximizerSolution:
     m = len(layout)
     nblocks = len(algebra.signature)
-    blocks_B = layout.blocks_B
     dual = _LazyDualBound(layout, m)
     scale = max(1.0, float(np.max(np.maximum(np.abs(layout.lows), np.abs(layout.tops)))))
-
-    if warm is not None:
-        if len(warm.xs) != m:
-            raise InputError(
-                f"warm start has {len(warm.xs)} coordinates, expected {m}"
-            )
-        for x in warm.xs:
-            algebra.check_member(x)
-        xs_ops = [HermitianOperator._exact(x.blocks) for x in warm.xs]
-    else:
-        xs_ops = [algebra.zeros() for _ in range(m)]
+    zeros = [(np.zeros((d, d), dtype=np.complex128),) * m for d in algebra.signature]
 
     # fast path: when every payoff matrix is <= 0, zero is a maximizer,
     # whatever the warm start
     if np.all(layout.tops <= 0.0):
         return MaximizerSolution(
-            point=KPoint.zeros(algebra, m - 1),
-            objective=0.0,
-            sweeps=0,
-            blocks_B=blocks_B,
-            stalled=False,
-            _dual=dual,
+            xs=tuple(zeros), objective=0.0, sweeps=0, stalled=False, _dual=dual
         )
 
-    # split into per-block dense problems (payoffs are block-diagonal)
-    xs_arr = [
-        [np.array(xs_ops[r].blocks[c]) for r in range(m)] for c in range(nblocks)
-    ]
+    # warm[c][r] is block c of x_r; the ascent only rebinds list entries, so
+    # warm arrays shared with an earlier solution are never written
+    xs_arr = [list(xc) for xc in (zeros if warm is None else warm)]
     stacks = layout.stacks
     screens = [layout.screen(c) for c in range(nblocks)]
 
@@ -501,21 +494,12 @@ def _solve_from_blocks(
             for c in range(nblocks)
         )
 
-    xs_ops = [
-        HermitianOperator._exact([xs_arr[c][r] for c in range(nblocks)])
-        for r in range(m)
-    ]
-    point = KPoint(tuple(xs_ops))
-    objective = _point_objective(blocks_B, xs_ops)
+    xs = tuple(tuple(_sym(x) for x in xc) for xc in xs_arr)
+    objective = _point_objective(stacks, xs)
     # only a run out of sweeps is judged by its gap, so only it needs the bound now
     stalled = stalled and max(0.0, dual() - objective) > STALL_GAP * scale
     return MaximizerSolution(
-        point=point,
-        objective=objective,
-        sweeps=total_sweeps,
-        blocks_B=blocks_B,
-        stalled=stalled,
-        _dual=dual,
+        xs=xs, objective=objective, sweeps=total_sweeps, stalled=stalled, _dual=dual
     )
 
 
@@ -582,7 +566,7 @@ def objective_g(
     _, blocks = _state_problem(a, lam, point.order, state, ext)
     for x in point.xs:
         state.algebra.check_member(x)
-    return _point_objective(blocks, list(point.xs))
+    return _point_objective(_per_block(blocks), _per_block(point.xs))
 
 
 def solve_maximizer(
@@ -605,10 +589,19 @@ def solve_maximizer(
     sweeps to a literal fixed point of the block update.  The dual bound
     of B_0, ..., B_n is computed when ``dual_bound`` or ``gap`` is first
     read, or at once when the ascent ran out of sweeps, since ``stalled``
-    needs the gap.
+    needs the gap.  A ``warm`` start must have n+1 coordinates in the
+    state's algebra; the solve starts from its blocks.
     """
 
     _, blocks = _state_problem(a, lam, n, state, ext)
+    if warm is not None:
+        if len(warm.xs) != n + 1:
+            raise InputError(
+                f"warm start has {len(warm.xs)} coordinates, expected {n + 1}"
+            )
+        for x in warm.xs:
+            state.algebra.check_member(x)
+        warm = _per_block(warm.xs)
     return _solve_from_blocks(state.algebra, PayoffLayout(blocks), opts, warm)
 
 
@@ -736,13 +729,16 @@ def extract_projection(
 ) -> tuple[HermitianOperator, float]:
     """Support projection of z = 1 - sum_r x_r above the kernel cut, and the cut width.
 
-    Verifies the exchange identity ``(1 - e) z = 0`` within ten times the
-    cut width; a larger defect means the coordinates left K and the
-    extraction is meaningless, so it raises ``NonConvergence``.
+    z is formed per block from the solution's arrays, x_0 + x_1 + ... in
+    sequence.  Verifies the exchange identity ``(1 - e) z = 0`` within ten
+    times the cut width; a larger defect means the coordinates left K and
+    the extraction is meaningless, so it raises ``NonConvergence``.
     """
 
-    one = HermitianOperator.identity(solution.point.xs[0].dims)
-    z = one - solution.point.total()
+    z = HermitianOperator._exact(
+        [np.eye(len(xc[0]), dtype=np.complex128) - sum(xc[1:], xc[0]) for xc in solution.xs]
+    )
+    one = HermitianOperator.identity(z.dims)
     eps = _resolve_eps(z, eps_kernel)
     e = spectral_projection(z, (eps, math.inf), eps_kernel=eps, strict=strict)
     residual = op_norm((one - e) @ z)
@@ -760,7 +756,7 @@ class PathStep(_ReadsDualBound):
 
     ``dual_bound`` and ``gap`` are the solve's, computed on first read
     from the first n+1 payoffs of the path's layout (see
-    ``MaximizerSolution``); the step does not keep the solve's K-point.
+    ``MaximizerSolution``); the step does not keep the solve's point.
     """
 
     projection: HermitianOperator
@@ -778,8 +774,9 @@ class ProjectionPath:
     ``B_r = (r+1) (S_r(a) - lambda density)`` and S_r the averages under
     ``action``.  Order n is solved the first time it is asked for,
     warm-started from order n-1's point with a zero coordinate appended
-    (order 0 starts cold).  Of the K-points only the latest is kept, for
-    the next warm start.  ``payoffs`` is the ``PayoffLayout`` of the
+    (order 0 starts cold).  Of the solves' points only the latest is kept,
+    as the solver's per-block arrays, for the next warm start; no order
+    builds a ``KPoint``.  ``payoffs`` is the ``PayoffLayout`` of the
     orders solved so far, extended by one payoff per order.  A step's dual
     bound is computed on first read, from the first n+1 payoffs of that
     layout, so orders whose bound no record reads (the limit orders) never
@@ -805,7 +802,7 @@ class ProjectionPath:
         self._seq: list[BlockMatrix] = []
         self._gen = _averages(action.apply, a.rep, None)
         self.payoffs = PayoffLayout()
-        self._point: KPoint | None = None
+        self._xs: tuple[tuple[np.ndarray, ...], ...] | None = None
 
     def averages(self, n: int) -> list[BlockMatrix]:
         """S_0(a), ..., S_n(a)."""
@@ -820,16 +817,17 @@ class ProjectionPath:
         if n < 0:
             raise InputError(f"order must be >= 0, got {n}")
         algebra = self.action.algebra
+        zeros = [(np.zeros((d, d), dtype=np.complex128),) for d in algebra.signature]
         while len(self.steps) <= n:
             k = len(self.payoffs)
             seq = self.averages(len(self.steps))
             self.payoffs.extend(_payoffs(seq[k:], self.lam, self.density, k))
             warm = None
-            if self._point is not None:
-                warm = KPoint(self._point.xs + (algebra.zeros(),))
+            if self._xs is not None:
+                warm = [xc + zero for xc, zero in zip(self._xs, zeros)]
             sol = _solve_from_blocks(algebra, self.payoffs, self.opts, warm)
             e, eps = extract_projection(sol, self.opts.eps_kernel, self.opts.strict_cuts)
-            self._point = sol.point
+            self._xs = sol.xs
             self.steps.append(
                 PathStep(e, eps, sol.objective, sol.sweeps, sol.stalled, sol._dual)
             )

@@ -550,6 +550,7 @@ def build_problem(sc: Scenario, strict: bool = False, tol: float | None = None) 
         t = sc.tolerances.get("residual")
         tol = float(t) if t is not None else None
 
+    weight = None
     if sc.map_spec["kind"] == "markov_tensor":
         spec = sc.map_spec
         inner = Algebra(tuple(spec["inner_algebra"]))
@@ -563,31 +564,20 @@ def build_problem(sc: Scenario, strict: bool = False, tol: float | None = None) 
         algebra, state, model = example_tensor_markov(
             kernel.real, mu, inner, inner_state
         )
-        ext = extend_l1(model, state)
-        a = _build_input(sc, algebra, state)
-        return Problem(
-            algebra, state, None, model, ext, a,
-            sc.lam, sc.n_max, sc.horizon, opts, tol,
-        )
-
-    algebra = Algebra(sc.signature)
-    if sc.mode == "state":
-        state = make_state(
-            algebra, HermitianOperator(_decode_blocks(sc.state, "state"))
-        )
+    else:
+        algebra = Algebra(sc.signature)
+        if sc.mode == "state":
+            state = make_state(
+                algebra, HermitianOperator(_decode_blocks(sc.state, "state"))
+            )
+        else:
+            state, weight = None, Weight.tracial_weight(algebra)
         model = _build_map(sc, algebra, state)
-        ext = extend_l1(model, state)
-        a = _build_input(sc, algebra, state)
-        return Problem(
-            algebra, state, None, model, ext, a,
-            sc.lam, sc.n_max, sc.horizon, opts, tol,
-        )
-
-    weight = Weight.tracial_weight(algebra)
-    model = _build_map(sc, algebra, None)
-    a = _build_input(sc, algebra, None)
+    # tracial mode has a weight and no state, so no L1 extension
+    ext = None if state is None else extend_l1(model, state)
+    a = _build_input(sc, algebra, state)
     return Problem(
-        algebra, None, weight, model, None, a,
+        algebra, state, weight, model, ext, a,
         sc.lam, sc.n_max, sc.horizon, opts, tol,
     )
 
@@ -637,9 +627,10 @@ def run_scenario(sc: Scenario, strict: bool = False, tol: float | None = None) -
 
     Pointwise certificates run for n = 0..n_max, then one uniform
     certificate at the horizon, all on one projection path, so each order
-    is solved once.  Without --strict a NoStableLimit is
+    is solved once.  In state mode without --strict, a NoStableLimit is
     recorded in the report but does not gate the verdict; every produced
-    certificate gates it.  Numerical breakdowns propagate to the caller.
+    certificate gates it.  Tracial mode records none: its NoStableLimit
+    propagates to the caller, as numerical breakdowns do.
     """
 
     prob = build_problem(sc, strict, tol)

@@ -104,6 +104,18 @@ def test_verify_strict_unstable_limit_exits_three(tmp_path, capsys):
     assert main(["verify", sc, "--out", str(tmp_path / "r2.json")]) == 0
 
 
+def test_verify_tracial_unstable_limit_exits_three_without_a_report(tmp_path, capsys):
+    # unlike state mode, tracial mode records no unstable limit: without
+    # --strict too, the limit's NoStableLimit ends the run as a breakdown
+    sc = write_scenario(tmp_path, mode="tracial_weight", state=None, horizon=3)
+    out = tmp_path / "r.json"
+    assert main(["verify", sc, "--out", str(out)]) == 3
+    assert "NoStableLimit" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["verify", sc, "--strict", "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_verify_tiny_tolerance_exits_one(tmp_path):
     # roundoff-size residuals sit below an absurd tolerance, so the
     # gating path itself is what this exercises

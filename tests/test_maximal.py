@@ -33,7 +33,14 @@ from ergocert.errors import (
     NotStochastic,
     NotTracial,
 )
-from ergocert.linalg import HermitianOperator, op_norm, positive_part
+from ergocert.linalg import (
+    KERNEL_EPS,
+    HermitianOperator,
+    op_norm,
+    positive_part,
+    scaled_tol,
+    spectral_projection,
+)
 from ergocert.maximal import (
     Certificate,
     KPoint,
@@ -42,6 +49,7 @@ from ergocert.maximal import (
     SolveOptions,
     _ascend_block,
     _payoffs,
+    _per_block,
     _point_objective,
     commutative_oracle,
     diagonal_instance,
@@ -299,16 +307,18 @@ def test_monotone_ascent_per_sweep():
         assert hi >= lo - 1e-12
 
 
-def _shift_compared(sol, adjoint):
+def _shift_compared(sol, payoffs, adjoint):
     # g(x) >= g(shift x) at every feasible shifted point: the comparison
     # the mass bound's derivation makes against the returned maximizer;
-    # returns whether the shifted point was feasible, so compared
+    # ``payoffs`` is the solve's PayoffLayout; returns whether the shifted
+    # point was feasible, so compared
     shifted = shift_point(adjoint, sol.point.xs)
     neg, excess = KPoint(tuple(shifted)).feasibility_defect()
     if neg < -1e-11 or excess > 1e-11:
         return False
-    scale = max(1.0, max(op_norm(b) for b in sol.blocks_B))
-    assert _point_objective(sol.blocks_B, shifted) <= sol.objective + 1e-9 * scale
+    # the largest payoff operator norm
+    scale = max(1.0, float(np.max(np.abs(payoffs.lows))), float(np.max(np.abs(payoffs.tops))))
+    assert _point_objective(payoffs.stacks, _per_block(shifted)) <= sol.objective + 1e-9 * scale
     return True
 
 
@@ -316,9 +326,10 @@ def test_shift_never_improves_a_maximizer(monkeypatch):
     solutions = []
     real = maximal._solve_from_blocks
 
-    def recording(*args):
-        solutions.append(real(*args))
-        return solutions[-1]
+    def recording(algebra, layout, *rest):
+        # the path's layout as the solve saw it; the path extends it later
+        solutions.append((real(algebra, layout, *rest), layout.prefix(len(layout))))
+        return solutions[-1][0]
 
     checked = 0
     horizon = 8
@@ -327,7 +338,8 @@ def test_shift_never_improves_a_maximizer(monkeypatch):
         adjoint = inst.ext.adjoint_action
         for n in range(1, 5):
             sol = solve_maximizer(inst.a, inst.lam, n, inst.state, inst.ext)
-            checked += _shift_compared(sol, adjoint)
+            payoffs = PayoffLayout(_state_payoffs(inst.a, inst.lam, n, inst.state, inst.ext))
+            checked += _shift_compared(sol, payoffs, adjoint)
         solutions.clear()
         with monkeypatch.context() as m:
             m.setattr(maximal, "_solve_from_blocks", recording)
@@ -337,8 +349,8 @@ def test_shift_never_improves_a_maximizer(monkeypatch):
                 pass
         # the projection path solves orders 0, 1, ..., horizon
         assert len(solutions) == horizon + 1
-        for sol in solutions:
-            checked += _shift_compared(sol, adjoint)
+        for sol, payoffs in solutions:
+            checked += _shift_compared(sol, payoffs, adjoint)
     assert checked > 0
 
 
@@ -383,7 +395,7 @@ def _same_bits(x, y):
 
 
 def _assert_same_layout(grown, whole):
-    assert grown.blocks_B == whole.blocks_B
+    assert len(grown) == len(whole)
     for name in ("lows", "tops", "masses"):
         assert _same_bits(getattr(grown, name), getattr(whole, name))
     for c in range(len(whole.stacks)):
@@ -444,15 +456,16 @@ def test_path_lays_out_each_payoff_once(monkeypatch):
         maximal, "eigh_stack", spy(stacked, maximal.eigh_stack, lambda x: [m.tobytes() for m in x])
     )
     monkeypatch.setattr(np.linalg, "eigvalsh", spy(screened, np.linalg.eigvalsh, lambda x: x))
-    # the operators themselves, so that no recorded id is reused
-    monkeypatch.setattr(linalg, "eigh", spy(decomposed, linalg.eigh, lambda A: [A]))
+    monkeypatch.setattr(
+        linalg, "eigh", spy(decomposed, linalg.eigh, lambda A: [b.tobytes() for b in A.blocks])
+    )
     path = ProjectionPath(a, 0.5, state.rho, ext.l1_action)
     path.step(n)
     payoffs = path.payoffs
     assert len(payoffs) == n + 1
-    blocks = [b.tobytes() for B in payoffs.blocks_B for b in B.blocks]
+    blocks = [b.tobytes() for stack in payoffs.stacks for b in stack]
     assert [stacked.count(b) for b in blocks] == [1] * len(blocks)
-    assert not {id(B) for B in payoffs.blocks_B} & {id(A) for A in decomposed}
+    assert not set(blocks) & set(decomposed)
     # the last order reaches the ascent, so its screen covers every payoff
     assert np.any(payoffs.tops > 0.0)
     assert len(screened) == len(state.algebra.signature) * (n + 1) ** 2
@@ -464,6 +477,7 @@ def test_lazy_dual_bound_reads_the_prefix_of_a_grown_path(monkeypatch):
     _, state, a, ext = _certified_instance(5)
     horizon = 8
     real = maximal.dual_upper_bound
+    payoffs = _state_payoffs(a, 0.5, horizon, state, ext)
     calls = count_dual_calls(monkeypatch)
     path = ProjectionPath(a, 0.5, state.rho, ext.l1_action)
     uniform_projection(a, 0.5, horizon, state, ext, path=path)
@@ -472,10 +486,58 @@ def test_lazy_dual_bound_reads_the_prefix_of_a_grown_path(monkeypatch):
     assert calls == []
     assert any(step.sweeps > 0 for step in path.steps)
     for n, step in enumerate(path.steps):
-        assert step.dual_bound == real(path.payoffs.blocks_B[: n + 1])
+        assert step.dual_bound == real(payoffs[: n + 1])
         assert step.gap == max(0.0, step.dual_bound - step.objective)
     # each step was read twice and computed once
     assert calls == [n + 1 for n in range(horizon + 1)]
+
+
+def test_path_keeps_solver_arrays_between_orders(monkeypatch):
+    # a path carries each solve's point to the next order in the solver's
+    # own arrays: it builds no KPoint, and the solve writes into no warm
+    # array, which the previous order's solution shares
+    built, warm_starts = [], []
+    real_post_init = KPoint.__post_init__
+    real_solve = maximal._solve_from_blocks
+
+    def counting(self):
+        built.append(len(self.xs))
+        real_post_init(self)
+
+    def read_only_warm(algebra, layout, opts, warm):
+        if warm is not None:
+            warm_starts.append(len(layout))
+            for x in (x for xc in warm for x in xc):
+                x.flags.writeable = False
+        return real_solve(algebra, layout, opts, warm)
+
+    monkeypatch.setattr(KPoint, "__post_init__", counting)
+    monkeypatch.setattr(maximal, "_solve_from_blocks", read_only_warm)
+    # an instance whose warm orders move blocks that the previous order set
+    _, state, a, ext = _certified_instance(1)
+    path = ProjectionPath(a, 0.5, state.rho, ext.l1_action)
+    path.step(8)
+    assert any(step.sweeps > 0 for step in path.steps)
+    assert warm_starts == list(range(2, 10))
+    assert built == []
+
+
+def test_solution_point_and_projection_read_the_solver_arrays():
+    for seed in (2, 9, 21):
+        _, state, a, ext = _certified_instance(seed)
+        sol = solve_maximizer(a, 1.0, 3, state, ext)
+        assert sol.sweeps > 0 and sol.order == 3
+        assert sol.point is sol.point
+        for r, x in enumerate(sol.point.xs):
+            for c, block in enumerate(x.blocks):
+                assert _same_bits(block, sol.xs[c][r])
+        # the cut of 1 - sum_r x_r, formed from the K-point
+        z = state.algebra.identity() - sol.point.total()
+        eps = scaled_tol(z, KERNEL_EPS)
+        ref = spectral_projection(z, (eps, math.inf), eps_kernel=eps)
+        e, got_eps = extract_projection(sol)
+        assert got_eps == eps
+        assert all(_same_bits(p, q) for p, q in zip(e.blocks, ref.blocks))
 
 
 def test_payoffs_near_the_float_limit_certify():
@@ -519,7 +581,8 @@ def test_only_a_stalled_solve_computes_its_dual_bound_at_once(monkeypatch):
     assert stalled.stalled and calls == [4]
     full = solve_maximizer(a, 0.5, 3, state, ext)
     assert not full.stalled and calls == [4]
-    assert full.dual_bound == stalled.dual_bound == real(full.blocks_B)
+    payoffs = _state_payoffs(a, 0.5, 3, state, ext)
+    assert full.dual_bound == stalled.dual_bound == real(payoffs)
     assert calls == [4, 4]
 
 
