@@ -357,6 +357,25 @@ def _condition_report(
     )
 
 
+def _require_conditions(report: ConditionReport) -> None:
+    """Raise ``ConditionsNotMet``, carrying ``report``, unless every condition holds.
+
+    The message names each failed condition with its defect.
+    """
+
+    failures = []
+    if not report.contraction_ok:
+        failures.append(f"contraction defect {report.contraction_defect:.3e}")
+    if not report.trace_decrease_ok:
+        failures.append(f"trace increase {report.trace_decrease_defect:.3e}")
+    if not report.positivity_ok:
+        failures.append(f"sampled positivity defect {report.positivity_worst:.3e}")
+    if failures:
+        exc = ConditionsNotMet("; ".join(failures))
+        exc.report = report
+        raise exc
+
+
 # -- L1 extension and adjoint ----------------------------------------------
 
 
@@ -406,19 +425,7 @@ def extend_l1(
     if T.algebra.signature != state.algebra.signature:
         raise DimensionMismatch("map and state live on different algebras")
     report = check_conditions(T, state, samples=samples, tol=tol)
-    if not report.all_ok:
-        failed = [
-            name
-            for name, ok in [
-                ("contraction", report.contraction_ok),
-                ("positivity", report.positivity_ok),
-                ("trace-decrease", report.trace_decrease_ok),
-            ]
-            if not ok
-        ]
-        exc = ConditionsNotMet(f"map fails: {', '.join(failed)}")
-        exc.report = report
-        raise exc
+    _require_conditions(report)
 
     half_full = _to_full(state.power(0.5))
     neg_half_full = _to_full(state.power(-0.5))

@@ -40,10 +40,10 @@ from .dynamics import (
     _averages,
     _condition_report,
     _is_index,
+    _require_conditions,
     cesaro_reps,
 )
 from .errors import (
-    ConditionsNotMet,
     InputError,
     NonConvergence,
     NoStableLimit,
@@ -396,10 +396,10 @@ def _point_objective(stacks, xs) -> float:
 class PayoffLayout:
     """The payoffs B_0, ..., B_{m-1} of one problem, laid out for the solver.
 
-    Per algebra block it holds the ``(m, d, d)`` stacks of the payoffs and
-    of their positive parts ``(B_r)_+``, and the swap screen; per payoff,
-    the least and largest eigenvalue and the positive mass ``Tr (B_r)_+``
-    over all blocks.  The stacks are the one copy of the payoffs kept:
+    Per algebra block it holds the ``(m, d, d)`` stack of the payoffs and
+    the swap screen; per payoff, the least and largest eigenvalue and the
+    positive mass ``Tr (B_r)_+``, the sum of the positive eigenvalues, over
+    all blocks.  The stacks are the one copy of the payoffs kept:
     ``extend`` lays out the blocks of new payoff operators and decomposes
     each once, in one checked ``eigh_stack`` per block; ``screen``
     computes the entries of payoffs added since its last call.  Nothing
@@ -408,7 +408,6 @@ class PayoffLayout:
 
     def __init__(self, payoffs: tuple[HermitianOperator, ...] = ()):
         self.stacks: list[np.ndarray] = []
-        self.positives: list[np.ndarray] = []
         self.lows = self.tops = self.masses = np.empty(0)
         self._screens: list[np.ndarray] = []
         self.extend(tuple(payoffs))
@@ -425,7 +424,6 @@ class PayoffLayout:
 
         view = object.__new__(PayoffLayout)
         view.stacks = [stack[:m] for stack in self.stacks]
-        view.positives = [pos[:m] for pos in self.positives]
         view.lows, view.tops, view.masses = self.lows[:m], self.tops[:m], self.masses[:m]
         view._screens = [screen[:m, :m] for screen in self._screens]
         return view
@@ -434,18 +432,15 @@ class PayoffLayout:
         if not new:
             return
         fresh = [np.stack(blocks) for blocks in _per_block(new)]
-        lows, tops, positives = zip(*(_payoff_summary(stack) for stack in fresh))
-        masses = sum(np.trace(p, axis1=1, axis2=2).real for p in positives)
+        lows, tops, masses = zip(*(_payoff_summary(stack) for stack in fresh))
         if len(self):
             fresh = [np.concatenate(pair) for pair in zip(self.stacks, fresh)]
-            positives = [np.concatenate(pair) for pair in zip(self.positives, positives)]
         else:
             self._screens = [np.zeros((0, 0)) for _ in fresh]
         self.stacks = fresh
-        self.positives = list(positives)
         self.lows = np.concatenate((self.lows, np.min(lows, axis=0)))
         self.tops = np.concatenate((self.tops, np.max(tops, axis=0)))
-        self.masses = np.concatenate((self.masses, masses))
+        self.masses = np.concatenate((self.masses, sum(masses)))
 
     def screen(self, c: int) -> np.ndarray:
         """The swap screen of algebra block ``c`` over all payoffs laid out."""
@@ -546,12 +541,11 @@ def _validate_problem(
 
 def _state_problem(
     a: LOneElement, lam: float, n: int, state: State, ext: ExtendedMap
-) -> tuple[list[BlockMatrix], tuple[HermitianOperator, ...]]:
-    """The validated averages S_0(a), ..., S_n(a) and their payoffs."""
+) -> tuple[HermitianOperator, ...]:
+    """The payoffs of the validated averages S_0(a), ..., S_n(a)."""
 
     _validate_problem(a, lam, n, state.algebra, ext.state.algebra)
-    seq = cesaro_reps(ext.l1_action, a.rep, n)
-    return seq, _payoffs(seq, lam, state.rho)
+    return _payoffs(cesaro_reps(ext.l1_action, a.rep, n), lam, state.rho)
 
 
 def objective_g(
@@ -563,7 +557,7 @@ def objective_g(
 ) -> float:
     """Value of g at a feasible point, recomputed from scratch."""
 
-    _, blocks = _state_problem(a, lam, point.order, state, ext)
+    blocks = _state_problem(a, lam, point.order, state, ext)
     for x in point.xs:
         state.algebra.check_member(x)
     return _point_objective(_per_block(blocks), _per_block(point.xs))
@@ -593,7 +587,7 @@ def solve_maximizer(
     state's algebra; the solve starts from its blocks.
     """
 
-    _, blocks = _state_problem(a, lam, n, state, ext)
+    blocks = _state_problem(a, lam, n, state, ext)
     if warm is not None:
         if len(warm.xs) != n + 1:
             raise InputError(
@@ -623,15 +617,10 @@ def _slices(stack: np.ndarray) -> list[slice]:
 
 
 def _payoff_summary(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per payoff of one block: least and largest eigenvalue and (B_r)_+."""
+    """Per payoff of one block: least and largest eigenvalue, positive mass."""
 
-    lows, tops, positives = [], [], []
-    for part in _slices(stack):
-        w, u = eigh_stack(stack[part])
-        lows.append(w[:, 0])
-        tops.append(w[:, -1])
-        positives.append(_spectral_positive_part(w, u))
-    return np.concatenate(lows), np.concatenate(tops), np.concatenate(positives)
+    w = np.concatenate([eigh_stack(stack[part])[0] for part in _slices(stack)])
+    return w[:, 0], w[:, -1], np.sum(np.maximum(w, 0.0), axis=1)
 
 
 def _witness_spectrum(
@@ -661,18 +650,20 @@ def dual_upper_bound(blocks_B: tuple[HermitianOperator, ...] | PayoffLayout) -> 
     sweep orders: ascending, descending, and by decreasing largest
     eigenvalue and positive mass of ``B_r``.  Each fold is feasible by
     construction and reproduces the pointwise maximum in commuting
-    instances; a uniform shrink by the smallest verified slack tightens
-    further.  Every candidate is re-verified and any eigenvalue deficit is
-    added back, so the returned value is a true bound up to eigensolver
-    accuracy.
+    instances.  No fold has slack to shrink: after its last nonzero step
+    t, ``Z - B_t`` is the negative part ``(B_t - Z_{t-1})_-``, which
+    vanishes on the range of that step, and Z is 0 when no step is
+    nonzero, so some ``Z - B_r`` or Z itself is singular.  Every
+    candidate is re-verified and any eigenvalue deficit is added back, so
+    the returned value is a true bound up to eigensolver accuracy.
 
     ``blocks_B`` is the payoffs or their ``PayoffLayout``, whose stacks
     and spectra the bound reads.  Evaluation is stacked: each algebra
     block holds its payoffs as one ``(m, d, d)`` array, every fold step
     runs for all sweep orders in one batched decomposition, and a
     candidate's witness check decomposes ``[Z; Z - B_0; ...; Z - B_{m-1}]``
-    once per pass, in slices of about ``STACK_SLICE_BYTES``.  Acceptance is ``is_psd``'s rule per operator,
-    over all blocks of that operator.
+    once, in slices of about ``STACK_SLICE_BYTES``.  Acceptance is
+    ``is_psd``'s rule per operator, over all blocks of that operator.
     """
 
     layout = blocks_B if isinstance(blocks_B, PayoffLayout) else PayoffLayout(blocks_B)
@@ -687,16 +678,12 @@ def dual_upper_bound(blocks_B: tuple[HermitianOperator, ...] | PayoffLayout) -> 
     orders.add(tuple(int(i) for i in np.argsort(-layout.masses, kind="stable")))
     orders = sorted(orders)
 
-    # fold every order at once: step t adds (B_{order[t]} - Z)_+ to each Z;
-    # at step 0 Z is still 0, so the step adds the laid-out (B_r)_+
+    # fold every order at once: step t adds (B_{order[t]} - Z)_+ to each Z
     folds = [np.zeros((len(orders), d, d), dtype=np.complex128) for d in dims]
     for t in range(m):
         idx = [order[t] for order in orders]
         for c, stack in enumerate(stacks):
-            if t == 0:
-                step = layout.positives[c][idx]
-            else:
-                step = _spectral_positive_part(*eigh_stack(stack[idx] - folds[c]))
+            step = _spectral_positive_part(*eigh_stack(stack[idx] - folds[c]))
             folds[c] = folds[c] + step
     candidates = [[fc[k] for fc in folds] for k in range(len(orders))]
 
@@ -711,10 +698,6 @@ def dual_upper_bound(blocks_B: tuple[HermitianOperator, ...] | PayoffLayout) -> 
         lo, hi = _witness_spectrum(z, stacks)
         if fallback is None:
             fallback = witness_value(z, lo)
-        slack = float(np.min(lo))
-        if slack > 0.0:
-            z = [zc - slack * np.eye(zc.shape[0], dtype=np.complex128) for zc in z]
-            lo, hi = _witness_spectrum(z, stacks)
         scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
         if np.all(lo >= -PSD_TOL * scale):
             best = min(best, witness_value(z, lo))
@@ -869,9 +852,7 @@ def _domination_slacks(
     """``prefix + str(r)``: least eigenvalue of ``e (ceiling - S_r(a)) e``."""
 
     return {
-        f"{prefix}{r}": min_eigenvalue(
-            compress(e, HermitianOperator._exact((ceiling - s_r).blocks))
-        )
+        f"{prefix}{r}": min_eigenvalue(compress(e, ceiling - s_r))
         for r, s_r in enumerate(seq)
     }
 
@@ -1041,7 +1022,10 @@ def uniform_projection(
 
     residuals: dict[str, float] = {}
     for r, s_r in enumerate(seq):
-        residuals[f"uniform_r{r}"] = 4.0 * lam - (e @ s_r @ e).real_trace()
+        # Tr(e S_r e) per block, without forming the product as a BlockMatrix
+        residuals[f"uniform_r{r}"] = 4.0 * lam - float(
+            sum(np.trace(eb @ sb @ eb).real for eb, sb in zip(e.blocks, s_r.blocks))
+        )
     mass = (state.rho @ (one - e)).real_trace()
     residuals["mass_2_over_lambda"] = (2.0 / lam) * a.integral() - mass
     residuals["h_range_low"] = min_eigenvalue(h)
@@ -1100,16 +1084,9 @@ def yeadon_tracial(
 
     one = algebra.identity()
     # the absorption conditions for the trace, as extend_l1 checks them for a state
-    report = _condition_report(T, one, DEFAULT_SAMPLES, DEFAULT_CONDITION_TOL)
-    failures = []
-    if not report.contraction_ok:
-        failures.append(f"contraction defect {report.contraction_defect:.3e}")
-    if not report.trace_decrease_ok:
-        failures.append(f"trace increase {report.trace_decrease_defect:.3e}")
-    if not report.positivity_ok:
-        failures.append(f"sampled positivity defect {report.positivity_worst:.3e}")
-    if failures:
-        raise ConditionsNotMet("; ".join(failures))
+    _require_conditions(
+        _condition_report(T, one, DEFAULT_SAMPLES, DEFAULT_CONDITION_TOL)
+    )
 
     seq, e_last, e, eps, diag = _limit_cut(ProjectionPath(a, lam, one, T, opts), horizon)
 

@@ -63,13 +63,15 @@ def random_unitary(rng: np.random.Generator, dims) -> BlockMatrix:
 def reference_dual_upper_bound(blocks_B) -> float:
     """A dual witness bound evaluated one operator at a time.
 
-    The stacked version's folds, slack shift, ``is_psd`` acceptance and
-    deficit add-back, built from ``HermitianOperator`` arithmetic and
-    cached per-operator eigendecompositions, plus the candidate
-    ``sum_r (B_r)_+`` that the stacked version no longer tries; here it is
-    also the fallback when no candidate verifies.  With the extra
-    candidate the reference is never above the stacked bound once a
-    candidate verifies, so agreement shows that dropping it lost nothing.
+    The stacked version's folds, ``is_psd`` acceptance and deficit
+    add-back, built from ``HermitianOperator`` arithmetic and cached
+    per-operator eigendecompositions.  It also tries two things the
+    stacked version no longer does: the shift of each candidate down by
+    its least verified slack, and the candidate ``sum_r (B_r)_+``, which
+    is here also the fallback when no candidate verifies.  With these
+    the reference is never above the stacked bound beyond roundoff once a
+    candidate verifies, so agreement shows that dropping them lost
+    nothing.
     """
 
     bs = tuple(blocks_B)

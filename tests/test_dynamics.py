@@ -207,6 +207,7 @@ def test_extend_rejects_failing_map():
     with pytest.raises(ConditionsNotMet) as info:
         extend_l1(doubled, state)
     assert not info.value.report.contraction_ok
+    assert str(info.value).startswith("contraction defect 1.000e+00; trace increase ")
 
 
 def test_unital_map_fixes_density():
