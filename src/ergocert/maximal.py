@@ -382,6 +382,11 @@ def _per_block(ops) -> list[tuple[np.ndarray, ...]]:
     return list(zip(*(op.blocks for op in ops)))
 
 
+def _appended(stacks: list[np.ndarray], fresh: list[np.ndarray]) -> list[np.ndarray]:
+    # per block, the matrices of ``fresh`` after those of ``stacks`` (none yet: [])
+    return [np.concatenate(pair) for pair in zip(stacks, fresh)] if stacks else fresh
+
+
 def _point_objective(stacks, xs) -> float:
     # g = sum_r Tr(B_r x_r) from per-block payoffs stacks[c][r] and points
     # xs[c][r], summed over r outside and over blocks inside
@@ -433,11 +438,9 @@ class PayoffLayout:
             return
         fresh = [np.stack(blocks) for blocks in _per_block(new)]
         lows, tops, masses = zip(*(_payoff_summary(stack) for stack in fresh))
-        if len(self):
-            fresh = [np.concatenate(pair) for pair in zip(self.stacks, fresh)]
-        else:
+        if not len(self):
             self._screens = [np.zeros((0, 0)) for _ in fresh]
-        self.stacks = fresh
+        self.stacks = _appended(self.stacks, fresh)
         self.lows = np.concatenate((self.lows, np.min(lows, axis=0)))
         self.tops = np.concatenate((self.tops, np.max(tops, axis=0)))
         self.masses = np.concatenate((self.masses, sum(masses)))
@@ -511,10 +514,7 @@ def _payoffs(
         # an overflowing entry is rejected by the operator's finiteness check
         with np.errstate(over="ignore", invalid="ignore"):
             shift = lam * density
-            return tuple(
-                HermitianOperator._exact((float(r + 1) * (s_r - shift)).blocks)
-                for r, s_r in enumerate(seq, first)
-            )
+            return tuple(float(r + 1) * (s_r - shift) for r, s_r in enumerate(seq, first))
     except InputError as exc:
         raise InputError(
             f"threshold lambda {lam:.6g} overflows the payoffs "
@@ -763,9 +763,16 @@ class ProjectionPath:
     orders solved so far, extended by one payoff per order.  A step's dual
     bound is computed on first read, from the first n+1 payoffs of that
     layout, so orders whose bound no record reads (the limit orders) never
-    compute one; a solve that ran out of sweeps computes it at once.  The
-    certificate functions validate the problem and check that a path they
-    are given was built for it.
+    compute one; a solve that ran out of sweeps computes it at once.
+
+    The path also holds, per algebra block, the ``(m, d, d)`` stacks the
+    a-posteriori checks read: the averages S_r(a) (``average_stacks``)
+    and the ceilings ``lambda density - S_r(a)`` (``ceilings``).  Both are
+    extended, never recomputed, as the checks ask for later orders.  The
+    ceilings are formed from the averages, not from the payoffs, so the
+    checks stay independent of the solve.  The certificate functions
+    validate the problem and check that a path they are given was built
+    for it.
     """
 
     def __init__(
@@ -784,6 +791,8 @@ class ProjectionPath:
         self.steps: list[PathStep] = []
         self._seq: list[BlockMatrix] = []
         self._gen = _averages(action.apply, a.rep, None)
+        self._averages: list[np.ndarray] = []
+        self._ceilings: list[np.ndarray] = []
         self.payoffs = PayoffLayout()
         self._xs: tuple[tuple[np.ndarray, ...], ...] | None = None
 
@@ -793,6 +802,26 @@ class ProjectionPath:
         while len(self._seq) <= n:
             self._seq.append(next(self._gen))
         return self._seq[: n + 1]
+
+    def average_stacks(self, n: int) -> list[np.ndarray]:
+        """Per algebra block, the ``(n+1, d, d)`` stack of S_0(a), ..., S_n(a)."""
+
+        k = len(self._averages[0]) if self._averages else 0
+        if k <= n:
+            fresh = [np.stack(blocks) for blocks in _per_block(self.averages(n)[k:])]
+            self._averages = _appended(self._averages, fresh)
+        return [stack[: n + 1] for stack in self._averages]
+
+    def ceilings(self, n: int) -> list[np.ndarray]:
+        """Per algebra block, the ``(n+1, d, d)`` stack of ``lambda density - S_r(a)``."""
+
+        k = len(self._ceilings[0]) if self._ceilings else 0
+        if k <= n:
+            fresh = [stack[k:] for stack in self.average_stacks(n)]
+            self._ceilings = _appended(
+                self._ceilings, _ceiling_stacks(self.lam, self.density, fresh)
+            )
+        return [stack[: n + 1] for stack in self._ceilings]
 
     def step(self, n: int) -> PathStep:
         """Order n, after solving the orders below it not solved yet."""
@@ -846,15 +875,46 @@ def _residual_tol(a: LOneElement, lam: float) -> float:
     return RESIDUAL_RTOL * max(1.0, a.trace_norm(), lam)
 
 
-def _domination_slacks(
-    e: HermitianOperator, ceiling: HermitianOperator, seq: list[BlockMatrix], prefix: str
-) -> dict[str, float]:
-    """``prefix + str(r)``: least eigenvalue of ``e (ceiling - S_r(a)) e``."""
+def _ceiling_stacks(
+    scale: float, density: HermitianOperator, averages: list[np.ndarray]
+) -> list[np.ndarray]:
+    """Per block, the stack of ``scale density - S_r`` over the averages' stacks.
 
-    return {
-        f"{prefix}{r}": min_eigenvalue(compress(e, ceiling - s_r))
-        for r, s_r in enumerate(seq)
-    }
+    Each matrix is the block the operators would give: ``scale density``
+    symmetrized, then its difference with S_r symmetrized.  The stack is
+    filled slice by slice (``_slices``), so its temporaries stay small.
+    """
+
+    out = []
+    for d, stack in zip(density.blocks, averages):
+        top, ceilings = _sym(scale * d), np.empty_like(stack)
+        for part in _slices(stack):
+            ceilings[part] = _sym(top - stack[part])
+        out.append(ceilings)
+    return out
+
+
+def _domination_slacks(
+    e: HermitianOperator, ceilings: list[np.ndarray], prefix: str
+) -> dict[str, float]:
+    """``prefix + str(r)``: least eigenvalue of ``e D_r e``, D_r the r-th ceiling.
+
+    ``ceilings`` holds one ``(m, d, d)`` stack per algebra block.  Each
+    slice of a block's stack (``_slices``) is compressed by e in one
+    batched product and decomposed in one checked ``eigh_stack`` call;
+    every matrix gets the bits ``compress`` and ``eigh`` give it alone.
+    An operator's least eigenvalue is the least over its blocks, the first
+    block on ties as ``min_eigenvalue`` takes it, so a signed zero keeps
+    its sign.
+    """
+
+    lows = None
+    for ec, stack in zip(e.blocks, ceilings):
+        w = np.concatenate(
+            [eigh_stack(_sym((ec @ stack[part]) @ ec))[0][:, 0] for part in _slices(stack)]
+        )
+        lows = w if lows is None else np.where(w < lows, w, lows)
+    return {f"{prefix}{r}": float(low) for r, low in enumerate(lows)}
 
 
 def pointwise_certificate(
@@ -874,7 +934,10 @@ def pointwise_certificate(
     Residuals: ``pointwise_r`` is the least eigenvalue of
     ``e_n (lambda rho - S_r(a)) e_n`` for each r <= n, and
     ``mass_2_over_lambda`` is ``(2/lambda) Tr(a) - Tr(rho (1 - e_n))``.
-    The sharper one-over-lambda mass slack is informational only.
+    The sharper one-over-lambda mass slack is informational only.  The
+    ceilings ``lambda rho - S_r(a)`` are the path's stacks
+    (``ProjectionPath.ceilings``), each formed once per path; the record
+    compresses them by e_n per block in batched products.
     """
 
     _validate_problem(a, lam, n, state.algebra, ext.state.algebra)
@@ -882,10 +945,9 @@ def pointwise_certificate(
     if tol is None:
         tol = _residual_tol(a, lam)
     step = path.step(n)
-    seq = path.averages(n)
     e = step.projection
     one = state.algebra.identity()
-    residuals = _domination_slacks(e, lam * state.rho, seq, "pointwise_r")
+    residuals = _domination_slacks(e, path.ceilings(n), "pointwise_r")
     mass = (state.rho @ (one - e)).real_trace()
     residuals["mass_2_over_lambda"] = (2.0 / lam) * a.integral() - mass
     info = {
@@ -931,18 +993,19 @@ def _cluster_tail(
 def _limit_cut(
     path: ProjectionPath, horizon: int
 ) -> tuple[
-    list[BlockMatrix], HermitianOperator, HermitianOperator, float, LimitDiagnostics
+    list[np.ndarray], HermitianOperator, HermitianOperator, float, LimitDiagnostics
 ]:
     """The limit construction the uniform and tracial certificates share.
 
     Takes the projections e_1, ..., e_horizon of the path (solving the
     orders not solved yet), averages the largest op-norm cluster into h and
     cuts h above 1/2 (under ``opts.strict_cuts`` an eigenvalue of h at
-    the cut raises ``AmbiguousSpectralCut``).  Returns the averages
-    S_0(a), ..., S_c(a) up to the check horizon c, the order-horizon
-    projection, the cut projection e, the cut width, and diagnostics that
-    carry h and the inverse cut.  Raises ``NoStableLimit``, carrying
-    diagnostics, when no cluster reaches ``opts.window`` members.
+    the cut raises ``AmbiguousSpectralCut``).  Returns the path's stacks
+    of the averages S_0(a), ..., S_c(a) up to the check horizon c, the
+    order-horizon projection, the cut projection e, the cut width, and
+    diagnostics that carry h and the inverse cut.  Raises
+    ``NoStableLimit``, carrying diagnostics, when no cluster reaches
+    ``opts.window`` members.
     """
 
     opts = path.opts
@@ -953,7 +1016,7 @@ def _limit_cut(
     )
     if check_horizon < horizon:
         raise InputError("check horizon must cover the solve horizon")
-    seq = path.averages(check_horizon)
+    averages = path.average_stacks(check_horizon)
     steps = [path.step(n) for n in range(1, horizon + 1)]
     es = [s.projection for s in steps]
 
@@ -987,7 +1050,7 @@ def _limit_cut(
         h, lambda w: np.where((w > 0.5 + eps) & (w <= 1.0 + eps), 1.0 / w, 0.0)
     )
     diag = replace(diag, inverse_cut=ginv, inverse_cut_norm=op_norm(ginv))
-    return seq, es[-1], e, eps, diag
+    return averages, es[-1], e, eps, diag
 
 
 def uniform_projection(
@@ -1016,16 +1079,22 @@ def uniform_projection(
     path = _path_for(path, a, lam, state, ext, opts)
     if tol is None:
         tol = _residual_tol(a, lam)
-    seq, _, e, eps, diag = _limit_cut(path, horizon)
+    averages, _, e, eps, diag = _limit_cut(path, horizon)
     h, ginv = diag.h, diag.inverse_cut
     one = state.algebra.identity()
 
-    residuals: dict[str, float] = {}
-    for r, s_r in enumerate(seq):
-        # Tr(e S_r e) per block, without forming the product as a BlockMatrix
-        residuals[f"uniform_r{r}"] = 4.0 * lam - float(
-            sum(np.trace(eb @ sb @ eb).real for eb, sb in zip(e.blocks, s_r.blocks))
+    # Tr(e S_r e) for every r: batched products per block and slice, summed
+    # over the blocks in block order
+    traces = sum(
+        np.concatenate(
+            [
+                np.trace((eb @ stack[part]) @ eb, axis1=-2, axis2=-1).real
+                for part in _slices(stack)
+            ]
         )
+        for eb, stack in zip(e.blocks, averages)
+    )
+    residuals = {f"uniform_r{r}": 4.0 * lam - float(t) for r, t in enumerate(traces)}
     mass = (state.rho @ (one - e)).real_trace()
     residuals["mass_2_over_lambda"] = (2.0 / lam) * a.integral() - mass
     residuals["h_range_low"] = min_eigenvalue(h)
@@ -1045,7 +1114,7 @@ def uniform_projection(
         info={
             "exceptional_mass": mass,
             "cluster_size": float(len(diag.cluster)),
-            "check_horizon": float(len(seq) - 1),
+            "check_horizon": float(len(averages[0]) - 1),
             "stalled_solves": float(diag.stalled_solves),
         },
     )
@@ -1088,10 +1157,13 @@ def yeadon_tracial(
         _condition_report(T, one, DEFAULT_SAMPLES, DEFAULT_CONDITION_TOL)
     )
 
-    seq, e_last, e, eps, diag = _limit_cut(ProjectionPath(a, lam, one, T, opts), horizon)
+    path = ProjectionPath(a, lam, one, T, opts)
+    averages, e_last, e, eps, diag = _limit_cut(path, horizon)
 
-    residuals = _domination_slacks(e_last, lam * one, seq[: horizon + 1], "pointwise_r")
-    residuals.update(_domination_slacks(e, (2.0 * lam) * one, seq, "uniform_r"))
+    residuals = _domination_slacks(e_last, path.ceilings(horizon), "pointwise_r")
+    residuals.update(
+        _domination_slacks(e, _ceiling_stacks(2.0 * lam, one, averages), "uniform_r")
+    )
     trace_a = a.integral()
     residuals["pointwise_mass"] = (2.0 / lam) * trace_a - (
         one - e_last
@@ -1110,7 +1182,7 @@ def yeadon_tracial(
         tolerances={"residual": tol, "eps_kernel": eps},
         info={
             "cluster_size": float(len(diag.cluster)),
-            "check_horizon": float(len(seq) - 1),
+            "check_horizon": float(len(averages[0]) - 1),
             "stalled_solves": float(diag.stalled_solves),
         },
     )

@@ -36,6 +36,8 @@ from ergocert.errors import (
 from ergocert.linalg import (
     KERNEL_EPS,
     HermitianOperator,
+    compress,
+    min_eigenvalue,
     op_norm,
     positive_part,
     scaled_tol,
@@ -64,6 +66,7 @@ from ergocert.maximal import (
     weak_type_predicate,
     yeadon_tracial,
 )
+from ergocert.scenario import certificate_record, dumps
 from ergocert.suite import suite_instance
 
 from helpers import (
@@ -720,6 +723,87 @@ def test_pointwise_certificate_decomposes_its_kernel_once(monkeypatch):
         calls.clear()
         pointwise_certificate(a, 1.0, n, state, ext, path=path)
         assert len(calls) == 1
+
+
+def _operator_slack(e, ceiling, s_r):
+    # the domination residual as operators define it, one operator per r
+    return min_eigenvalue(compress(e, ceiling - s_r))
+
+
+def _same_floats(got, want):
+    # bit for bit: repr tells -0.0 from 0.0
+    return [repr(v) for v in got] == [repr(v) for v in want]
+
+
+def _has_negative_zero(values):
+    return any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in values)
+
+
+def test_stacked_pointwise_slacks_match_the_operator_definition():
+    # on (2, 1) the compressed blocks often tie at -0.0 and 0.0; the least
+    # eigenvalue is the first block's, as min_eigenvalue takes it
+    _, state, a, ext = _certified_instance(9, dims=(2, 1))
+    path = ProjectionPath(a, 0.5, state.rho, ext.l1_action)
+    want_all = []
+    for n in range(6):
+        cert = pointwise_certificate(a, 0.5, n, state, ext, path=path)
+        got = [cert.residuals[f"pointwise_r{r}"] for r in range(n + 1)]
+        want = [
+            _operator_slack(cert.projection, 0.5 * state.rho, s_r)
+            for s_r in path.averages(n)
+        ]
+        assert _same_floats(got, want)
+        want_all += want
+    assert _has_negative_zero(want_all)
+
+
+def test_stacked_tracial_slacks_match_the_operator_definition():
+    algebra = Algebra((2, 1))
+    one = algebra.identity()
+    T = random_certified_map(1003, algebra, make_state(algebra, (1.0 / 3.0) * one))
+    a = random_positive_l1(2003, algebra, trace=3.0)
+    lam, horizon = 0.5, 5
+    cert = yeadon_tracial(a, lam, horizon, algebra, Weight.tracial_weight(algebra), T)
+    e_last = ProjectionPath(a, lam, one, T).step(horizon).projection
+    seq = cesaro_reps(T, a.rep, 4 * horizon)
+    families = (
+        ("pointwise_r", e_last, lam * one, seq[: horizon + 1]),
+        ("uniform_r", cert.projection, (2.0 * lam) * one, seq),
+    )
+    want_all = []
+    for prefix, e, ceiling, averages in families:
+        got = [cert.residuals[f"{prefix}{r}"] for r in range(len(averages))]
+        want = [_operator_slack(e, ceiling, s_r) for s_r in averages]
+        assert _same_floats(got, want)
+        want_all += want
+    assert _has_negative_zero(want_all)
+
+
+def test_stacked_uniform_traces_match_the_per_block_definition():
+    # two blocks, one of them past numpy's unrolled summation width
+    _, state, a, ext = _certified_instance(1, dims=(3, 9))
+    cert, _ = uniform_projection(a, 0.5, 6, state, ext)
+    e = cert.projection
+    assert 0.0 < e.real_trace() < 12.0
+    averages = cesaro_reps(ext.l1_action, a.rep, 24)
+    want = [
+        4.0 * 0.5
+        - float(sum(np.trace(eb @ sb @ eb).real for eb, sb in zip(e.blocks, s_r.blocks)))
+        for s_r in averages
+    ]
+    assert _same_floats([cert.residuals[f"uniform_r{r}"] for r in range(25)], want)
+
+
+def test_path_stepped_out_of_order_gives_a_fresh_paths_records():
+    # the ceiling stacks are read as prefixes and extended in any order
+    algebra, state, a, ext = _certified_instance(5)
+    path = ProjectionPath(a, 1.0, state.rho, ext.l1_action)
+    path.step(10)
+    for n in (6, 2, 9, 0, 10):
+        cert = pointwise_certificate(a, 1.0, n, state, ext, path=path)
+        fresh = pointwise_certificate(a, 1.0, n, state, ext)
+        dim = algebra.total_dim
+        assert dumps(certificate_record(cert, dim)) == dumps(certificate_record(fresh, dim))
 
 
 def test_certificates_reject_a_path_of_another_problem():

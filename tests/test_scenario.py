@@ -5,7 +5,8 @@ import pytest
 
 from ergocert import maximal
 from ergocert.errors import NoStableLimit, ScenarioError
-from ergocert.maximal import pointwise_certificate
+from ergocert.linalg import BlockMatrix
+from ergocert.maximal import ProjectionPath, pointwise_certificate
 from ergocert.scenario import (
     Scenario,
     build_problem,
@@ -377,6 +378,63 @@ def test_lazy_dual_bounds_leave_reports_byte_identical(monkeypatch):
     lazy = [dumps(run_scenario(sc)) for sc in scenarios]
     read_every_bound_at_once(monkeypatch)
     assert [dumps(run_scenario(sc)) for sc in scenarios] == lazy
+
+
+def test_residual_layer_compresses_stacks_without_operators(monkeypatch):
+    # a pointwise record reads the path's ceiling stacks: it builds no
+    # BlockMatrix and decomposes in one eigh_stack call per block and slice
+    sc = Scenario.from_dict(
+        trivial_dict(
+            algebra=[2, 2],
+            state=[[[0.3, 0.0], [0.0, 0.2]], [[0.25, 0.0], [0.0, 0.25]]],
+            input={"kind": "random", "seed": 5, "trace": 3.0},
+            map={
+                "kind": "kraus",
+                "ops": [
+                    [
+                        [0.6, 0.0, 0.1, 0.0],
+                        [0.3, 0.2, 0.0, 0.1],
+                        [0.1, 0.0, 0.5, 0.2],
+                        [0.0, 0.2, 0.1, 0.4],
+                    ]
+                ],
+            },
+            n_max=20,
+            horizon=8,
+            **{"lambda": 1.0},
+        )
+    )
+    built, decomposed, records = [], [], []
+    real_init, real_eigh = BlockMatrix.__init__, maximal.eigh_stack
+    real_slacks, real_ceilings = maximal._domination_slacks, ProjectionPath.ceilings
+
+    def counting_init(self, blocks):
+        built.append(type(self))
+        real_init(self, blocks)
+
+    def counting_eigh(stack):
+        decomposed.append(len(stack))
+        return real_eigh(stack)
+
+    def layer(real):
+        def measured(*args):
+            before = len(built), len(decomposed)
+            out = real(*args)
+            records.append((len(built) - before[0], len(decomposed) - before[1]))
+            return out
+
+        return measured
+
+    monkeypatch.setattr(BlockMatrix, "__init__", counting_init)
+    monkeypatch.setattr(maximal, "eigh_stack", counting_eigh)
+    monkeypatch.setattr(maximal, "_domination_slacks", layer(real_slacks))
+    monkeypatch.setattr(ProjectionPath, "ceilings", layer(real_ceilings))
+    report = run_scenario(sc)
+    assert report["overall_pass"] and len(report["pointwise"]) == 21
+    assert built, "the counter must see the rest of the pipeline"
+    # per record: the ceilings, then the slacks; 21 matrices fit one slice
+    assert records == [(0, 0), (0, 2)] * 21
+    assert all(0.0 < rec["projection_trace"] < 4.0 for rec in report["pointwise"])
 
 
 def test_direct_pointwise_certificate_matches_report_record():
