@@ -53,7 +53,6 @@ from .errors import (
 from .linalg import (
     KERNEL_EPS,
     PSD_TOL,
-    BlockMatrix,
     HermitianOperator,
     apply_spectral,
     compress,
@@ -377,9 +376,9 @@ def _resolve_eps(A: HermitianOperator, eps_kernel: float | None) -> float:
     return scaled_tol(A, KERNEL_EPS)
 
 
-def _per_block(ops) -> list[tuple[np.ndarray, ...]]:
-    # [c][r]: block c of operator r
-    return list(zip(*(op.blocks for op in ops)))
+def _stacked(ops) -> list[np.ndarray]:
+    # per algebra block, the (m, d, d) stack of the operators' blocks
+    return [np.stack(blocks) for blocks in zip(*(op.blocks for op in ops))]
 
 
 def _appended(stacks: list[np.ndarray], fresh: list[np.ndarray]) -> list[np.ndarray]:
@@ -404,18 +403,19 @@ class PayoffLayout:
     Per algebra block it holds the ``(m, d, d)`` stack of the payoffs and
     the swap screen; per payoff, the least and largest eigenvalue and the
     positive mass ``Tr (B_r)_+``, the sum of the positive eigenvalues, over
-    all blocks.  The stacks are the one copy of the payoffs kept:
-    ``extend`` lays out the blocks of new payoff operators and decomposes
-    each once, in one checked ``eigh_stack`` per block; ``screen``
-    computes the entries of payoffs added since its last call.  Nothing
-    laid out is computed again.
+    all blocks.  The stacks are the one copy of the payoffs kept: the
+    constructor and ``extend`` take new payoffs as per-block ``(k, d, d)``
+    complex stacks (``_payoff_stacks``; ``_stacked`` turns operators into
+    them), append them and decompose each payoff once, in one checked
+    ``eigh_stack`` per block; ``screen`` computes the entries of payoffs
+    added since its last call.  Nothing laid out is computed again.
     """
 
-    def __init__(self, payoffs: tuple[HermitianOperator, ...] = ()):
+    def __init__(self, stacks: list[np.ndarray] = ()):
         self.stacks: list[np.ndarray] = []
         self.lows = self.tops = self.masses = np.empty(0)
         self._screens: list[np.ndarray] = []
-        self.extend(tuple(payoffs))
+        self.extend(stacks)
 
     def __len__(self) -> int:
         return len(self.lows)
@@ -433,10 +433,9 @@ class PayoffLayout:
         view._screens = [screen[:m, :m] for screen in self._screens]
         return view
 
-    def extend(self, new: tuple[HermitianOperator, ...]) -> None:
-        if not new:
+    def extend(self, fresh: list[np.ndarray]) -> None:
+        if not len(fresh) or not len(fresh[0]):
             return
-        fresh = [np.stack(blocks) for blocks in _per_block(new)]
         lows, tops, masses = zip(*(_payoff_summary(stack) for stack in fresh))
         if not len(self):
             self._screens = [np.zeros((0, 0)) for _ in fresh]
@@ -501,27 +500,6 @@ def _solve_from_blocks(
     )
 
 
-def _payoffs(
-    seq: list[BlockMatrix], lam: float, density: HermitianOperator, first: int = 0
-) -> tuple[HermitianOperator, ...]:
-    """Payoffs ``B_r = (r+1) (S_r(a) - lambda density)``, one per average.
-
-    ``seq`` holds S_first(a), S_first+1(a), ...  Raises ``InputError``
-    naming lambda when a payoff entry overflows.
-    """
-
-    try:
-        # an overflowing entry is rejected by the operator's finiteness check
-        with np.errstate(over="ignore", invalid="ignore"):
-            shift = lam * density
-            return tuple(float(r + 1) * (s_r - shift) for r, s_r in enumerate(seq, first))
-    except InputError as exc:
-        raise InputError(
-            f"threshold lambda {lam:.6g} overflows the payoffs "
-            "(r+1)(S_r(a) - lambda rho)"
-        ) from exc
-
-
 def _validate_problem(
     a: LOneElement, lam: float, n: int, algebra: Algebra, map_algebra: Algebra
 ) -> None:
@@ -541,11 +519,12 @@ def _validate_problem(
 
 def _state_problem(
     a: LOneElement, lam: float, n: int, state: State, ext: ExtendedMap
-) -> tuple[HermitianOperator, ...]:
-    """The payoffs of the validated averages S_0(a), ..., S_n(a)."""
+) -> list[np.ndarray]:
+    """Per algebra block, the payoff stack of the validated S_0(a), ..., S_n(a)."""
 
     _validate_problem(a, lam, n, state.algebra, ext.state.algebra)
-    return _payoffs(cesaro_reps(ext.l1_action, a.rep, n), lam, state.rho)
+    averages = _stacked(cesaro_reps(ext.l1_action, a.rep, n))
+    return _payoff_stacks(lam, state.rho, averages, 0)
 
 
 def objective_g(
@@ -557,10 +536,10 @@ def objective_g(
 ) -> float:
     """Value of g at a feasible point, recomputed from scratch."""
 
-    blocks = _state_problem(a, lam, point.order, state, ext)
+    stacks = _state_problem(a, lam, point.order, state, ext)
     for x in point.xs:
         state.algebra.check_member(x)
-    return _point_objective(_per_block(blocks), _per_block(point.xs))
+    return _point_objective(stacks, _stacked(point.xs))
 
 
 def solve_maximizer(
@@ -570,7 +549,6 @@ def solve_maximizer(
     state: State,
     ext: ExtendedMap,
     opts: SolveOptions = DEFAULT_OPTIONS,
-    warm: KPoint | None = None,
 ) -> MaximizerSolution:
     """Maximize g over K by monotone closed-form ascent with a dual bound.
 
@@ -583,20 +561,11 @@ def solve_maximizer(
     sweeps to a literal fixed point of the block update.  The dual bound
     of B_0, ..., B_n is computed when ``dual_bound`` or ``gap`` is first
     read, or at once when the ascent ran out of sweeps, since ``stalled``
-    needs the gap.  A ``warm`` start must have n+1 coordinates in the
-    state's algebra; the solve starts from its blocks.
+    needs the gap.  The solve starts cold.
     """
 
-    blocks = _state_problem(a, lam, n, state, ext)
-    if warm is not None:
-        if len(warm.xs) != n + 1:
-            raise InputError(
-                f"warm start has {len(warm.xs)} coordinates, expected {n + 1}"
-            )
-        for x in warm.xs:
-            state.algebra.check_member(x)
-        warm = _per_block(warm.xs)
-    return _solve_from_blocks(state.algebra, PayoffLayout(blocks), opts, warm)
+    layout = PayoffLayout(_state_problem(a, lam, n, state, ext))
+    return _solve_from_blocks(state.algebra, layout, opts, None)
 
 
 def _spectral_positive_part(w: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -666,7 +635,10 @@ def dual_upper_bound(blocks_B: tuple[HermitianOperator, ...] | PayoffLayout) -> 
     ``is_psd``'s rule per operator, over all blocks of that operator.
     """
 
-    layout = blocks_B if isinstance(blocks_B, PayoffLayout) else PayoffLayout(blocks_B)
+    if isinstance(blocks_B, PayoffLayout):
+        layout = blocks_B
+    else:
+        layout = PayoffLayout(_stacked(blocks_B))
     m = len(layout)
     if not m:
         return 0.0
@@ -765,14 +737,16 @@ class ProjectionPath:
     layout, so orders whose bound no record reads (the limit orders) never
     compute one; a solve that ran out of sweeps computes it at once.
 
-    The path also holds, per algebra block, the ``(m, d, d)`` stacks the
-    a-posteriori checks read: the averages S_r(a) (``average_stacks``)
-    and the ceilings ``lambda density - S_r(a)`` (``ceilings``).  Both are
-    extended, never recomputed, as the checks ask for later orders.  The
-    ceilings are formed from the averages, not from the payoffs, so the
-    checks stay independent of the solve.  The certificate functions
-    validate the problem and check that a path they are given was built
-    for it.
+    The path keeps the averages S_r(a) once, as per-block ``(m, d, d)``
+    stacks (``average_stacks``): each average is drawn from the action,
+    stacked, and not kept as an operator.  Both the payoffs and the
+    ceilings ``lambda density - S_r(a)`` the a-posteriori checks read
+    (``ceilings``) are formed from these stacks, each by its own
+    subtraction, so the ceilings come from the averages, not from the
+    payoffs, and the checks stay independent of the solve.  Every stack
+    is extended, never recomputed, as later orders are asked for.  The
+    certificate functions validate the problem and check that a path
+    they are given was built for it.
     """
 
     def __init__(
@@ -789,26 +763,18 @@ class ProjectionPath:
         self.action = action
         self.opts = opts
         self.steps: list[PathStep] = []
-        self._seq: list[BlockMatrix] = []
         self._gen = _averages(action.apply, a.rep, None)
         self._averages: list[np.ndarray] = []
         self._ceilings: list[np.ndarray] = []
         self.payoffs = PayoffLayout()
         self._xs: tuple[tuple[np.ndarray, ...], ...] | None = None
 
-    def averages(self, n: int) -> list[BlockMatrix]:
-        """S_0(a), ..., S_n(a)."""
-
-        while len(self._seq) <= n:
-            self._seq.append(next(self._gen))
-        return self._seq[: n + 1]
-
     def average_stacks(self, n: int) -> list[np.ndarray]:
         """Per algebra block, the ``(n+1, d, d)`` stack of S_0(a), ..., S_n(a)."""
 
         k = len(self._averages[0]) if self._averages else 0
         if k <= n:
-            fresh = [np.stack(blocks) for blocks in _per_block(self.averages(n)[k:])]
+            fresh = _stacked(islice(self._gen, n + 1 - k))
             self._averages = _appended(self._averages, fresh)
         return [stack[: n + 1] for stack in self._averages]
 
@@ -832,8 +798,8 @@ class ProjectionPath:
         zeros = [(np.zeros((d, d), dtype=np.complex128),) for d in algebra.signature]
         while len(self.steps) <= n:
             k = len(self.payoffs)
-            seq = self.averages(len(self.steps))
-            self.payoffs.extend(_payoffs(seq[k:], self.lam, self.density, k))
+            fresh = [stack[k:] for stack in self.average_stacks(len(self.steps))]
+            self.payoffs.extend(_payoff_stacks(self.lam, self.density, fresh, k))
             warm = None
             if self._xs is not None:
                 warm = [xc + zero for xc, zero in zip(self._xs, zeros)]
@@ -891,6 +857,32 @@ def _ceiling_stacks(
         for part in _slices(stack):
             ceilings[part] = _sym(top - stack[part])
         out.append(ceilings)
+    return out
+
+
+def _payoff_stacks(
+    lam: float, density: HermitianOperator, averages: list[np.ndarray], first: int
+) -> list[np.ndarray]:
+    """Per block, the stack of payoffs ``(r+1) (S_r - lambda density)``.
+
+    ``averages`` holds the per-block stacks of S_first, S_first+1, ...
+    Each matrix is the block the operators would give: ``lambda density``
+    symmetrized, its difference with S_r symmetrized, then that times
+    r+1 symmetrized.  Raises ``InputError`` naming lambda when a payoff
+    entry overflows; an overflow in any step leaves a non-finite entry.
+    """
+
+    w = np.arange(first + 1, first + 1 + len(averages[0]), dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = [
+            _sym(w[:, None, None] * _sym(stack - _sym(lam * d)))
+            for d, stack in zip(density.blocks, averages)
+        ]
+    if not all(np.all(np.isfinite(stack.view(np.float64))) for stack in out):
+        raise InputError(
+            f"threshold lambda {lam:.6g} overflows the payoffs "
+            "(r+1)(S_r(a) - lambda rho)"
+        )
     return out
 
 

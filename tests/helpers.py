@@ -114,6 +114,13 @@ def reference_dual_upper_bound(blocks_B) -> float:
     return float(best)
 
 
+def reference_payoffs(averages, lam: float, density) -> tuple:
+    """The payoffs ``B_r = (r+1) (S_r(a) - lambda density)`` one operator at a
+    time, from the averages S_0(a), S_1(a), ..."""
+
+    return tuple(float(r + 1) * (s_r - lam * density) for r, s_r in enumerate(averages))
+
+
 def shift_point(adjoint, xs) -> list:
     """``(T~(x_1), ..., T~(x_n), 0)``, the point the mass bound's derivation
     compares a maximizer against."""

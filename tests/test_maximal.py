@@ -1,5 +1,6 @@
 """Maximizer, projections, certificates, and the commuting reference."""
 
+import gc
 import math
 
 import numpy as np
@@ -35,6 +36,7 @@ from ergocert.errors import (
 )
 from ergocert.linalg import (
     KERNEL_EPS,
+    BlockMatrix,
     HermitianOperator,
     compress,
     min_eigenvalue,
@@ -50,9 +52,10 @@ from ergocert.maximal import (
     ProjectionPath,
     SolveOptions,
     _ascend_block,
-    _payoffs,
-    _per_block,
     _point_objective,
+    _slices,
+    _stacked,
+    _state_problem,
     commutative_oracle,
     diagonal_instance,
     dual_upper_bound,
@@ -74,6 +77,7 @@ from helpers import (
     perturbed_eigh,
     random_hermitian,
     reference_dual_upper_bound,
+    reference_payoffs,
     reference_swap_screen,
     shift_point,
 )
@@ -131,7 +135,7 @@ def _random_kernel(rng, d):
 
 
 def _state_payoffs(a, lam, n, state, ext):
-    return _payoffs(cesaro_reps(ext.l1_action, a.rep, n), lam, state.rho)
+    return reference_payoffs(cesaro_reps(ext.l1_action, a.rep, n), lam, state.rho)
 
 
 def _certified_instance(seed, dims=(2, 3), trace=3.0):
@@ -322,7 +326,7 @@ def _shift_compared(sol, payoffs, adjoint):
         return False
     # the largest payoff operator norm
     scale = max(1.0, float(np.max(np.abs(payoffs.lows))), float(np.max(np.abs(payoffs.tops))))
-    assert _point_objective(payoffs.stacks, _per_block(shifted)) <= sol.objective + 1e-9 * scale
+    assert _point_objective(payoffs.stacks, _stacked(shifted)) <= sol.objective + 1e-9 * scale
     return True
 
 
@@ -342,7 +346,9 @@ def test_shift_never_improves_a_maximizer(monkeypatch):
         adjoint = inst.ext.adjoint_action
         for n in range(1, 5):
             sol = solve_maximizer(inst.a, inst.lam, n, inst.state, inst.ext)
-            payoffs = PayoffLayout(_state_payoffs(inst.a, inst.lam, n, inst.state, inst.ext))
+            payoffs = PayoffLayout(
+                _stacked(_state_payoffs(inst.a, inst.lam, n, inst.state, inst.ext))
+            )
             checked += _shift_compared(sol, payoffs, adjoint)
         solutions.clear()
         with monkeypatch.context() as m:
@@ -408,7 +414,7 @@ def _assert_stacked_kernels_match(blocks):
     got = dual_upper_bound(blocks)
     ref = reference_dual_upper_bound(blocks)
     assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
-    layout = PayoffLayout(blocks)
+    layout = PayoffLayout(_stacked(blocks))
     for c in range(len(blocks[0].dims)):
         stack = np.stack([b.blocks[c] for b in blocks])
         assert np.array_equal(layout.stacks[c], stack)
@@ -437,12 +443,12 @@ def test_stacked_kernels_match_per_operator_reference():
         grown = PayoffLayout()
         for m in range(1, 22):
             _assert_stacked_kernels_match(blocks[:m])
-            grown.extend(blocks[m - 1 : m])
-            _assert_same_layout(grown, PayoffLayout(blocks[:m]))
+            grown.extend(_stacked(blocks[m - 1 : m]))
+            _assert_same_layout(grown, PayoffLayout(_stacked(blocks[:m])))
         # screen rows of several new payoffs at once, as after fast-path orders
-        chunked = PayoffLayout(blocks[:7])
+        chunked = PayoffLayout(_stacked(blocks[:7]))
         chunked.screen(0)
-        chunked.extend(blocks[7:])
+        chunked.extend(_stacked(blocks[7:]))
         _assert_same_layout(chunked, grown)
     for seed, dims in ((5, (2, 1)), (6, (3,)), (7, (1, 1, 1))):
         _, state, a, ext = _certified_instance(seed, dims=dims)
@@ -493,6 +499,59 @@ def test_path_lays_out_each_payoff_once(monkeypatch):
     # the last order reaches the ascent, so its screen covers every payoff
     assert np.any(payoffs.tops > 0.0)
     assert len(screened) == len(state.algebra.signature) * (n + 1) ** 2
+
+
+def _float_limit_instance():
+    # the README instance, whose payoffs near the float limit stay finite
+    algebra = Algebra((2,))
+    state = make_state(algebra, HermitianOperator([np.diag([0.7, 0.3])]))
+    T = PositiveMapModel.from_kraus(
+        algebra,
+        [np.array([[0.6, 0.0], [0.3, 0.2]]), np.array([[0.1, 0.0], [0.2, 0.5]])],
+    )
+    return state, extend_l1(T, state)
+
+
+def test_stacked_payoffs_match_the_operator_definition():
+    # the payoffs a path lays out and the public solve's stacks are the
+    # operators' payoffs, bit for bit
+    cases = [
+        (_certified_instance(9, dims=(2, 1)), 0.5, 12),
+        (_certified_instance(1, dims=(3, 9)), 0.5, 12),
+        (_certified_instance(8, dims=(20,), trace=10.0), 0.5, 24),
+    ]
+    state, ext = _float_limit_instance()
+    for diag, n in (((6e307, 3e307), 1), ((1e308, 5e307), 0)):
+        a = LOneElement(HermitianOperator([np.diag(diag)]))
+        cases.append(((None, state, a, ext), 1.0, n))
+    slices = []
+    for (_, state, a, ext), lam, n in cases:
+        want = _stacked(_state_payoffs(a, lam, n, state, ext))
+        path = ProjectionPath(a, lam, state.rho, ext.l1_action)
+        path.step(n)
+        for got in (path.payoffs.stacks, _state_problem(a, lam, n, state, ext)):
+            assert len(got) == len(want)
+            assert all(_same_bits(g, w) for g, w in zip(got, want))
+        slices.append(len(_slices(want[0])))
+    # the 20-dim block's stack spans several slices
+    assert slices[2] > 1
+
+
+def test_path_keeps_no_operator_per_order():
+    # the averages are drawn, stacked and dropped: only the generator's own
+    # running sum and power stay alive, however many orders are stacked
+    _, state, a, ext = _certified_instance(5)
+    path = ProjectionPath(a, 0.5, state.rho, ext.l1_action)
+
+    def live():
+        gc.collect()
+        return sum(isinstance(o, BlockMatrix) for o in gc.get_objects())
+
+    before = live()
+    stacks = path.average_stacks(60)
+    grown = live() - before
+    assert len(stacks[0]) == 61
+    assert grown <= 2
 
 
 def test_lazy_dual_bound_reads_the_prefix_of_a_grown_path(monkeypatch):
@@ -566,13 +625,7 @@ def test_solution_point_and_projection_read_the_solver_arrays():
 
 def test_payoffs_near_the_float_limit_certify():
     # halving before the hermitian sum keeps every payoff finite
-    algebra = Algebra((2,))
-    state = make_state(algebra, HermitianOperator([np.diag([0.7, 0.3])]))
-    T = PositiveMapModel.from_kraus(
-        algebra,
-        [np.array([[0.6, 0.0], [0.3, 0.2]]), np.array([[0.1, 0.0], [0.2, 0.5]])],
-    )
-    ext = extend_l1(T, state)
+    state, ext = _float_limit_instance()
     for diag, n in (((6e307, 3e307), 1), ((1e308, 5e307), 0)):
         a = LOneElement(HermitianOperator([np.diag(diag)]))
         assert pointwise_certificate(a, 1.0, n, state, ext).passed
@@ -610,19 +663,8 @@ def test_only_a_stalled_solve_computes_its_dual_bound_at_once(monkeypatch):
     assert calls == [4, 4]
 
 
-def test_warm_start_reaches_same_objective():
-    _, state, a, ext = _certified_instance(23)
-    cold = solve_maximizer(a, 1.0, 3, state, ext)
-    warm_point = KPoint(
-        tuple(cold.point.xs[:3]) + (state.algebra.zeros(),)
-    )
-    warm = solve_maximizer(a, 1.0, 3, state, ext, warm=warm_point)
-    assert warm.objective >= cold.objective - 1e-9
-    assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
-
-
 def test_solver_input_validation():
-    algebra, state, a, ext = _certified_instance(29)
+    _, state, a, ext = _certified_instance(29)
     with pytest.raises(InputError):
         solve_maximizer(a, 0.0, 1, state, ext)
     with pytest.raises(InputError):
@@ -633,8 +675,6 @@ def test_solver_input_validation():
     other_state = random_state(999, Algebra((4,)))
     with pytest.raises(Exception):
         solve_maximizer(a, 1.0, 1, other_state, ext)
-    with pytest.raises(InputError):
-        solve_maximizer(a, 1.0, 2, state, ext, warm=KPoint((algebra.zeros(),)))
 
 
 def test_kpoint_validation_and_defects():
@@ -750,7 +790,7 @@ def test_stacked_pointwise_slacks_match_the_operator_definition():
         got = [cert.residuals[f"pointwise_r{r}"] for r in range(n + 1)]
         want = [
             _operator_slack(cert.projection, 0.5 * state.rho, s_r)
-            for s_r in path.averages(n)
+            for s_r in cesaro_reps(ext.l1_action, a.rep, n)
         ]
         assert _same_floats(got, want)
         want_all += want
