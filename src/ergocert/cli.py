@@ -8,6 +8,7 @@ projection limit under --strict).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .errors import InputError, NumericalBreakdown
@@ -76,16 +77,12 @@ def _write_out(text: str, path: str | None) -> None:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    if args.tol is not None and args.tol <= 0.0:
-        raise InputError(f"--tol must be positive, got {args.tol}")
     report = run_scenario(scenario, strict=args.strict, tol=args.tol)
     _write_out(dumps(report), args.out)
     return EXIT_PASS if report["overall_pass"] else EXIT_CERT_FAILURE
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    if args.tol is not None and args.tol <= 0.0:
-        raise InputError(f"--tol must be positive, got {args.tol}")
     if args.horizon < 1:
         raise InputError(f"--horizon must be >= 1, got {args.horizon}")
     report = run_suite(
@@ -105,6 +102,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # --tol of verify and suite, checked before any work
+        tol = getattr(args, "tol", None)
+        if tol is not None and not (math.isfinite(tol) and tol > 0.0):
+            raise InputError(f"--tol must be positive and finite, got {tol}")
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "suite":

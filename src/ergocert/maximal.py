@@ -342,7 +342,8 @@ def _ascend_block(
     d = bs[0].shape[0]
     eye = np.eye(d, dtype=np.complex128)
     swaps = m > 1
-    obj = sum(_pair(b, x) for b, x in zip(bs, xs))
+    # the objective feeds only the TOL_OBJ stop, which a polish does not take
+    obj = None if to_fixed_point else sum(_pair(b, x) for b, x in zip(bs, xs))
     sweeps = 0
     while sweeps < budget:
         sweeps += 1
@@ -360,10 +361,11 @@ def _ascend_block(
                 changed = True
         if not changed:
             return sweeps, True
-        new_obj = sum(_pair(b, x) for b, x in zip(bs, xs))
-        if not to_fixed_point and new_obj - obj <= TOL_OBJ * max(1.0, abs(new_obj)):
-            return sweeps, True
-        obj = new_obj
+        if not to_fixed_point:
+            new_obj = sum(_pair(b, x) for b, x in zip(bs, xs))
+            if new_obj - obj <= TOL_OBJ * max(1.0, abs(new_obj)):
+                return sweeps, True
+            obj = new_obj
     return sweeps, False
 
 
@@ -737,16 +739,17 @@ class ProjectionPath:
     layout, so orders whose bound no record reads (the limit orders) never
     compute one; a solve that ran out of sweeps computes it at once.
 
-    The path keeps the averages S_r(a) once, as per-block ``(m, d, d)``
-    stacks (``average_stacks``): each average is drawn from the action,
-    stacked, and not kept as an operator.  Both the payoffs and the
-    ceilings ``lambda density - S_r(a)`` the a-posteriori checks read
-    (``ceilings``) are formed from these stacks, each by its own
-    subtraction, so the ceilings come from the averages, not from the
-    payoffs, and the checks stay independent of the solve.  Every stack
-    is extended, never recomputed, as later orders are asked for.  The
-    certificate functions validate the problem and check that a path
-    they are given was built for it.
+    The path keeps two stores: the averages S_r(a), once, as per-block
+    ``(m, d, d)`` stacks (``average_stacks``; each average is drawn from
+    the action, stacked, and not kept as an operator), and the payoffs.
+    It keeps no ceilings.  The a-posteriori checks cut each ceiling
+    ``lambda density - S_r(a)`` from the average stacks where they read
+    it, with the formula the payoffs are formed by (``_ceiling``), so the
+    ceilings come from the averages, not from the payoffs, and the checks
+    stay independent of the solve.  Both stores are extended, never
+    recomputed, as later orders are asked for.  The certificate functions
+    validate the problem and check that a path they are given was built
+    for it.
     """
 
     def __init__(
@@ -765,7 +768,6 @@ class ProjectionPath:
         self.steps: list[PathStep] = []
         self._gen = _averages(action.apply, a.rep, None)
         self._averages: list[np.ndarray] = []
-        self._ceilings: list[np.ndarray] = []
         self.payoffs = PayoffLayout()
         self._xs: tuple[tuple[np.ndarray, ...], ...] | None = None
 
@@ -777,17 +779,6 @@ class ProjectionPath:
             fresh = _stacked(islice(self._gen, n + 1 - k))
             self._averages = _appended(self._averages, fresh)
         return [stack[: n + 1] for stack in self._averages]
-
-    def ceilings(self, n: int) -> list[np.ndarray]:
-        """Per algebra block, the ``(n+1, d, d)`` stack of ``lambda density - S_r(a)``."""
-
-        k = len(self._ceilings[0]) if self._ceilings else 0
-        if k <= n:
-            fresh = [stack[k:] for stack in self.average_stacks(n)]
-            self._ceilings = _appended(
-                self._ceilings, _ceiling_stacks(self.lam, self.density, fresh)
-            )
-        return [stack[: n + 1] for stack in self._ceilings]
 
     def step(self, n: int) -> PathStep:
         """Order n, after solving the orders below it not solved yet."""
@@ -841,23 +832,10 @@ def _residual_tol(a: LOneElement, lam: float) -> float:
     return RESIDUAL_RTOL * max(1.0, a.trace_norm(), lam)
 
 
-def _ceiling_stacks(
-    scale: float, density: HermitianOperator, averages: list[np.ndarray]
-) -> list[np.ndarray]:
-    """Per block, the stack of ``scale density - S_r`` over the averages' stacks.
-
-    Each matrix is the block the operators would give: ``scale density``
-    symmetrized, then its difference with S_r symmetrized.  The stack is
-    filled slice by slice (``_slices``), so its temporaries stay small.
-    """
-
-    out = []
-    for d, stack in zip(density.blocks, averages):
-        top, ceilings = _sym(scale * d), np.empty_like(stack)
-        for part in _slices(stack):
-            ceilings[part] = _sym(top - stack[part])
-        out.append(ceilings)
-    return out
+def _ceiling(scale: float, d: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    # scale d - S_r for each S_r of stack, as the operators form it: the one
+    # formula by which the domination slacks and the payoffs form ceilings
+    return _sym(_sym(scale * d) - stack)
 
 
 def _payoff_stacks(
@@ -866,16 +844,18 @@ def _payoff_stacks(
     """Per block, the stack of payoffs ``(r+1) (S_r - lambda density)``.
 
     ``averages`` holds the per-block stacks of S_first, S_first+1, ...
-    Each matrix is the block the operators would give: ``lambda density``
-    symmetrized, its difference with S_r symmetrized, then that times
-    r+1 symmetrized.  Raises ``InputError`` naming lambda when a payoff
-    entry overflows; an overflow in any step leaves a non-finite entry.
+    Each payoff is its ceiling (``_ceiling``) negated, times r+1,
+    symmetrized.  That gives the operators' bits, signed zeros included,
+    except where S_r holds -0.0 over a +0.0 of ``lambda density``: there
+    ``S_r - lambda density`` is -0.0 and ``0.0 - C`` is +0.0.  Raises
+    ``InputError`` naming lambda when a payoff entry overflows; an
+    overflow in any step leaves a non-finite entry.
     """
 
     w = np.arange(first + 1, first + 1 + len(averages[0]), dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         out = [
-            _sym(w[:, None, None] * _sym(stack - _sym(lam * d)))
+            _sym(w[:, None, None] * (0.0 - _ceiling(lam, d, stack)))
             for d, stack in zip(density.blocks, averages)
         ]
     if not all(np.all(np.isfinite(stack.view(np.float64))) for stack in out):
@@ -887,24 +867,25 @@ def _payoff_stacks(
 
 
 def _domination_slacks(
-    e: HermitianOperator, ceilings: list[np.ndarray], prefix: str
+    e: HermitianOperator, scale: float, density: HermitianOperator,
+    averages: list[np.ndarray], prefix: str,
 ) -> dict[str, float]:
-    """``prefix + str(r)``: least eigenvalue of ``e D_r e``, D_r the r-th ceiling.
+    """``prefix + str(r)``: least eigenvalue of ``e (scale density - S_r) e``.
 
-    ``ceilings`` holds one ``(m, d, d)`` stack per algebra block.  Each
-    slice of a block's stack (``_slices``) is compressed by e in one
-    batched product and decomposed in one checked ``eigh_stack`` call;
-    every matrix gets the bits ``compress`` and ``eigh`` give it alone.
-    An operator's least eigenvalue is the least over its blocks, the first
-    block on ties as ``min_eigenvalue`` takes it, so a signed zero keeps
-    its sign.
+    ``averages`` holds one ``(m, d, d)`` stack of S_0, ..., S_{m-1} per
+    algebra block.  Each slice of a block's stack (``_slices``) is cut
+    into its ceilings (``_ceiling``), compressed by e in one batched
+    product and decomposed in one checked ``eigh_stack`` call, so no
+    ceiling stack is held whole; every matrix gets the bits ``compress``
+    and ``eigh`` give it alone.  An operator's least eigenvalue is the
+    least over its blocks, the first block on ties as ``min_eigenvalue``
+    takes it, so a signed zero keeps its sign.
     """
 
     lows = None
-    for ec, stack in zip(e.blocks, ceilings):
-        w = np.concatenate(
-            [eigh_stack(_sym((ec @ stack[part]) @ ec))[0][:, 0] for part in _slices(stack)]
-        )
+    for ec, d, stack in zip(e.blocks, density.blocks, averages):
+        parts = (_ceiling(scale, d, stack[part]) for part in _slices(stack))
+        w = np.concatenate([eigh_stack(_sym((ec @ c) @ ec))[0][:, 0] for c in parts])
         lows = w if lows is None else np.where(w < lows, w, lows)
     return {f"{prefix}{r}": float(low) for r, low in enumerate(lows)}
 
@@ -927,9 +908,10 @@ def pointwise_certificate(
     ``e_n (lambda rho - S_r(a)) e_n`` for each r <= n, and
     ``mass_2_over_lambda`` is ``(2/lambda) Tr(a) - Tr(rho (1 - e_n))``.
     The sharper one-over-lambda mass slack is informational only.  The
-    ceilings ``lambda rho - S_r(a)`` are the path's stacks
-    (``ProjectionPath.ceilings``), each formed once per path; the record
-    compresses them by e_n per block in batched products.
+    ceilings ``lambda rho - S_r(a)`` are cut from the path's average
+    stacks (``ProjectionPath.average_stacks``) slice by slice, with the
+    formula the payoffs use (``_ceiling``), and compressed by e_n per
+    block in batched products.
     """
 
     _validate_problem(a, lam, n, state.algebra, ext.state.algebra)
@@ -939,7 +921,7 @@ def pointwise_certificate(
     step = path.step(n)
     e = step.projection
     one = state.algebra.identity()
-    residuals = _domination_slacks(e, path.ceilings(n), "pointwise_r")
+    residuals = _domination_slacks(e, lam, state.rho, path.average_stacks(n), "pointwise_r")
     mass = (state.rho @ (one - e)).real_trace()
     residuals["mass_2_over_lambda"] = (2.0 / lam) * a.integral() - mass
     info = {
@@ -1152,10 +1134,10 @@ def yeadon_tracial(
     path = ProjectionPath(a, lam, one, T, opts)
     averages, e_last, e, eps, diag = _limit_cut(path, horizon)
 
-    residuals = _domination_slacks(e_last, path.ceilings(horizon), "pointwise_r")
-    residuals.update(
-        _domination_slacks(e, _ceiling_stacks(2.0 * lam, one, averages), "uniform_r")
+    residuals = _domination_slacks(
+        e_last, lam, one, path.average_stacks(horizon), "pointwise_r"
     )
+    residuals.update(_domination_slacks(e, 2.0 * lam, one, averages, "uniform_r"))
     trace_a = a.integral()
     residuals["pointwise_mass"] = (2.0 / lam) * trace_a - (
         one - e_last

@@ -724,8 +724,20 @@ _CSV_CORE = (
 )
 
 
-def _csv_row(instance: int, record: dict) -> dict:
-    info = record.get("info", {})
+def _checked(value: Any, kind: type, where: str, keys: tuple[str, ...] = ()) -> Any:
+    # a list or object of a report as export_csv reads it, with its keys
+    if not isinstance(value, kind):
+        noun = "an object" if kind is dict else "a list"
+        raise ScenarioError(f"report field {where} must be {noun}")
+    for key in keys:
+        if key not in value:
+            raise ScenarioError(f"report field {where} has no {key!r}")
+    return value
+
+
+def _csv_row(instance: Any, record: Any, where: str) -> dict:
+    record = _checked(record, dict, where, ("order", "kind", "passed"))
+    info = _checked(record.get("info", {}), dict, f"{where}.info")
     row = {
         "instance": instance,
         "n": record["order"],
@@ -738,7 +750,7 @@ def _csv_row(instance: int, record: dict) -> dict:
         "gap": info.get("gap"),
         "sweeps": record.get("sweeps"),
         "stalled": None if "stalled" not in info else bool(info["stalled"]),
-        "residuals": record.get("residuals", {}),
+        "residuals": _checked(record.get("residuals", {}), dict, f"{where}.residuals"),
     }
     return row
 
@@ -746,19 +758,21 @@ def _csv_row(instance: int, record: dict) -> dict:
 def _collect_rows(report: dict) -> list[dict]:
     rows: list[dict] = []
     if report["kind"] == "scenario_report":
-        for rec in report.get("pointwise") or []:
-            rows.append(_csv_row(0, rec))
+        pointwise = _checked(report.get("pointwise") or [], list, "pointwise")
+        for i, rec in enumerate(pointwise):
+            rows.append(_csv_row(0, rec, f"pointwise[{i}]"))
         for key in ("uniform", "tracial"):
             rec = report.get(key)
-            if rec and not rec.get("no_stable_limit", False):
-                rows.append(_csv_row(0, rec))
+            if rec and not _checked(rec, dict, key).get("no_stable_limit", False):
+                rows.append(_csv_row(0, rec, key))
         return rows
-    for inst in report.get("instances", []):
-        seed = inst["seed"]
-        rows.append(_csv_row(seed, inst["pointwise"]))
-        urec = inst.get("uniform")
-        if urec and not urec.get("no_stable_limit", False):
-            rows.append(_csv_row(seed, urec))
+    for i, inst in enumerate(_checked(report.get("instances", []), list, "instances")):
+        where = f"instances[{i}]"
+        seed = _checked(inst, dict, where, ("seed",))["seed"]
+        rows.append(_csv_row(seed, inst.get("pointwise"), f"{where}.pointwise"))
+        urec, where = inst.get("uniform"), f"{where}.uniform"
+        if urec and not _checked(urec, dict, where).get("no_stable_limit", False):
+            rows.append(_csv_row(seed, urec, where))
     return rows
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from ergocert import cli
 from ergocert.cli import main
 from ergocert.scenario import dumps, loads
 
@@ -134,9 +135,19 @@ def test_verify_tiny_tolerance_exits_one(tmp_path):
     assert main(["verify", sc, "--tol", "1e-30", "--out", str(tmp_path / "no.json")]) == 1
 
 
-def test_verify_rejects_nonpositive_tolerance(tmp_path):
+def test_verify_rejects_nonpositive_tolerance(tmp_path, capsys, monkeypatch):
+    # rejected before any solve, with a message naming the option
+    def no_run(*args, **kwargs):
+        raise AssertionError("a rejected tolerance must not reach a solve")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    monkeypatch.setattr(cli, "run_suite", no_run)
     sc = write_scenario(tmp_path)
-    assert main(["verify", sc, "--tol", "-1"]) == 2
+    for tol in ("-1", "0", "nan", "inf", "-inf"):
+        for argv in (["verify", sc], ["suite", "--seed", "7", "--count", "1"]):
+            assert main(argv + [f"--tol={tol}"]) == 2
+            err = capsys.readouterr().err
+            assert "InputError: --tol must be positive and finite" in err
 
 
 def test_suite_deterministic_and_exits_zero(tmp_path):
@@ -191,3 +202,29 @@ def test_export_csv_to_file_matches_stdout(tmp_path, capsys):
     assert main(["export-csv", str(rep), "--out", str(out)]) == 0
     assert main(["export-csv", str(rep)]) == 0
     assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "scenario_report", "pointwise": [{"kind": "pointwise"}]},
+        {"kind": "suite_report", "instances": [{"seed": 1}]},
+        {"kind": "scenario_report", "pointwise": 5},
+        {
+            "kind": "suite_report",
+            "instances": [
+                {"seed": 1, "pointwise": {"kind": "pointwise", "order": 0, "passed": True, "info": 3}}
+            ],
+        },
+        {
+            "kind": "scenario_report",
+            "pointwise": [{"kind": "pointwise", "order": 0, "passed": True, "residuals": [1.0]}],
+        },
+    ],
+    ids=["no_order", "no_pointwise", "pointwise_not_list", "info_not_object", "residuals_not_object"],
+)
+def test_export_csv_rejects_malformed_reports(tmp_path, capsys, doc):
+    path = tmp_path / "report.json"
+    path.write_text(dumps(doc), encoding="utf-8")
+    assert main(["export-csv", str(path)]) == 2
+    assert "ScenarioError: report field" in capsys.readouterr().err

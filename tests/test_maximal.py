@@ -835,7 +835,7 @@ def test_stacked_uniform_traces_match_the_per_block_definition():
 
 
 def test_path_stepped_out_of_order_gives_a_fresh_paths_records():
-    # the ceiling stacks are read as prefixes and extended in any order
+    # the average stacks are read as prefixes and extended in any order
     algebra, state, a, ext = _certified_instance(5)
     path = ProjectionPath(a, 1.0, state.rho, ext.l1_action)
     path.step(10)

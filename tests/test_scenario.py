@@ -6,7 +6,7 @@ import pytest
 from ergocert import maximal
 from ergocert.errors import NoStableLimit, ScenarioError
 from ergocert.linalg import BlockMatrix
-from ergocert.maximal import ProjectionPath, pointwise_certificate
+from ergocert.maximal import pointwise_certificate
 from ergocert.scenario import (
     Scenario,
     build_problem,
@@ -381,8 +381,9 @@ def test_lazy_dual_bounds_leave_reports_byte_identical(monkeypatch):
 
 
 def test_residual_layer_compresses_stacks_without_operators(monkeypatch):
-    # a pointwise record reads the path's ceiling stacks: it builds no
-    # BlockMatrix and decomposes in one eigh_stack call per block and slice
+    # a pointwise record cuts its ceilings from the path's average stacks: it
+    # builds no BlockMatrix and decomposes in one eigh_stack call per block
+    # and slice
     sc = Scenario.from_dict(
         trivial_dict(
             algebra=[2, 2],
@@ -406,7 +407,7 @@ def test_residual_layer_compresses_stacks_without_operators(monkeypatch):
     )
     built, decomposed, records = [], [], []
     real_init, real_eigh = BlockMatrix.__init__, maximal.eigh_stack
-    real_slacks, real_ceilings = maximal._domination_slacks, ProjectionPath.ceilings
+    real_slacks = maximal._domination_slacks
 
     def counting_init(self, blocks):
         built.append(type(self))
@@ -428,12 +429,11 @@ def test_residual_layer_compresses_stacks_without_operators(monkeypatch):
     monkeypatch.setattr(BlockMatrix, "__init__", counting_init)
     monkeypatch.setattr(maximal, "eigh_stack", counting_eigh)
     monkeypatch.setattr(maximal, "_domination_slacks", layer(real_slacks))
-    monkeypatch.setattr(ProjectionPath, "ceilings", layer(real_ceilings))
     report = run_scenario(sc)
     assert report["overall_pass"] and len(report["pointwise"]) == 21
     assert built, "the counter must see the rest of the pipeline"
-    # per record: the ceilings, then the slacks; 21 matrices fit one slice
-    assert records == [(0, 0), (0, 2)] * 21
+    # per record, the slacks; 21 matrices fit one slice
+    assert records == [(0, 2)] * 21
     assert all(0.0 < rec["projection_trace"] < 4.0 for rec in report["pointwise"])
 
 
