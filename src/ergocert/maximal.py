@@ -181,7 +181,10 @@ class MaximizerSolution(_ReadsDualBound):
     B_0, ..., B_n, computed the first time ``dual_bound`` or ``gap`` is
     read and then cached; ``gap`` is ``max(0, dual_bound - objective)``.
     A solve whose ascent ran out of sweeps has computed it already,
-    because ``stalled`` is decided by the gap.
+    because ``stalled`` is decided by the gap.  ``sweeps`` is the most
+    ascent sweeps of any algebra block plus the most polish sweeps; a
+    block already at a fixed point is not swept again, and counts the 1
+    sweep its polish would take.
     """
 
     xs: tuple[tuple[np.ndarray, ...], ...]
@@ -330,12 +333,16 @@ def _ascend_block(
     budget: int,
     to_fixed_point: bool,
     screen: np.ndarray,
-) -> tuple[int, bool]:
-    """Cyclic ascent on one algebra block; rebinds xs's entries, returns (sweeps, done).
+) -> tuple[int, str]:
+    """Cyclic ascent on one algebra block; rebinds xs's entries, returns (sweeps, stop).
 
-    ``bs`` is the block's ``(m, d, d)`` payoff stack and ``screen`` its
-    swap screen (``PayoffLayout.screen``).  Swaps run when there are at
-    least two coordinates.
+    ``sweeps`` counts the sweeps run: a block update per coordinate, then
+    the swap pass.  ``stop`` is ``"fixed"`` when the last sweep changed
+    nothing, ``"flat"`` on the ``TOL_OBJ`` stop (never with
+    ``to_fixed_point``) and ``"budget"`` when the sweeps ran out.  ``bs``
+    is the block's ``(m, d, d)`` payoff stack and ``screen`` its swap
+    screen (``PayoffLayout.screen``).  Swaps run when there are at least
+    two coordinates.
     """
 
     m = len(bs)
@@ -360,13 +367,13 @@ def _ascend_block(
             if _swap_pass(bs, xs, screen):
                 changed = True
         if not changed:
-            return sweeps, True
+            return sweeps, "fixed"
         if not to_fixed_point:
             new_obj = sum(_pair(b, x) for b, x in zip(bs, xs))
             if new_obj - obj <= TOL_OBJ * max(1.0, abs(new_obj)):
-                return sweeps, True
+                return sweeps, "flat"
             obj = new_obj
-    return sweeps, False
+    return sweeps, "budget"
 
 
 # -- assembled solver ----------------------------------------------------------
@@ -484,13 +491,15 @@ def _solve_from_blocks(
         for c in range(nblocks)
     ]
     total_sweeps = max(sw for sw, _ in runs)
-    stalled = not all(done for _, done in runs)
+    stalled = any(stop == "budget" for _, stop in runs)
     if not stalled:
         # polish to a literal fixed point of the block update; the pointwise
-        # inequality is a first-order condition there, independent of the gap
+        # inequality is a first-order condition there, independent of the gap.
+        # A "fixed" block is at one: its polish would repeat its last sweep
+        # bit for bit and return 1, so that 1 is counted and nothing is run
         total_sweeps += max(
-            _ascend_block(stacks[c], xs_arr[c], 30, True, screens[c])[0]
-            for c in range(nblocks)
+            _ascend_block(stacks[c], xs_arr[c], 30, True, screens[c])[0] if stop == "flat" else 1
+            for c, (_, stop) in enumerate(runs)
         )
 
     xs = tuple(tuple(_sym(x) for x in xc) for xc in xs_arr)
@@ -558,12 +567,16 @@ def solve_maximizer(
     nondecreasing along the ascent, and ``objective <= dual_bound`` up to
     the dual witness's own eigenvalue accuracy.  ``stalled`` flags runs
     that exhausted ``opts.max_sweeps`` while the duality gap stayed above
-    ``STALL_GAP`` times the payoff scale.  A solve is the ascent until an
-    objective gain falls below ``TOL_OBJ`` relative, then at most 30
-    sweeps to a literal fixed point of the block update.  The dual bound
-    of B_0, ..., B_n is computed when ``dual_bound`` or ``gap`` is first
-    read, or at once when the ascent ran out of sweeps, since ``stalled``
-    needs the gap.  The solve starts cold.
+    ``STALL_GAP`` times the payoff scale.  A solve is the ascent of each
+    algebra block until a sweep changes nothing or an objective gain falls
+    below ``TOL_OBJ`` relative, then, for the blocks that stopped on
+    ``TOL_OBJ``, at most 30 sweeps toward a literal fixed point of the
+    block update; a block whose last sweep changed nothing is at one already and
+    is not swept again, and no block is polished when any ran out of
+    sweeps.  ``sweeps`` counts both phases (``MaximizerSolution``).  The
+    dual bound of B_0, ..., B_n is computed when ``dual_bound`` or ``gap``
+    is first read, or at once when the ascent ran out of sweeps, since
+    ``stalled`` needs the gap.  The solve starts cold.
     """
 
     layout = PayoffLayout(_state_problem(a, lam, n, state, ext))

@@ -5,8 +5,9 @@ see identical data.  Oracles used by the tests (power iteration, scalar
 recursions) live next to the tests that use them, not here.  The
 exceptions are the per-operator references for the stacked kernels of
 ``maximal``, kept here as the code those kernels replaced, and the shift
-comparison point the solver no longer builds itself, and the spies on
-when the solver computes its dual bound.
+comparison point the solver no longer builds itself, the spies on
+when the solver computes its dual bound, and the solve that polishes
+every block.
 """
 
 from __future__ import annotations
@@ -182,3 +183,48 @@ def read_every_bound_at_once(monkeypatch) -> None:
         return sol
 
     monkeypatch.setattr(maximal, "_solve_from_blocks", eager)
+
+
+def reference_solve_from_blocks(algebra, layout, opts, warm):
+    """``_solve_from_blocks`` as it was when every block was polished.
+
+    The same ascent, then, unless a block ran out of sweeps, the polish of
+    every block, including one whose ascent ended on a sweep that changed
+    nothing.
+    """
+
+    m = len(layout)
+    nblocks = len(algebra.signature)
+    dual = maximal._LazyDualBound(layout, m)
+    scale = max(1.0, float(np.max(np.maximum(np.abs(layout.lows), np.abs(layout.tops)))))
+    zeros = [(np.zeros((d, d), dtype=np.complex128),) * m for d in algebra.signature]
+    if np.all(layout.tops <= 0.0):
+        return maximal.MaximizerSolution(
+            xs=tuple(zeros), objective=0.0, sweeps=0, stalled=False, _dual=dual
+        )
+    xs_arr = [list(xc) for xc in (zeros if warm is None else warm)]
+    stacks = layout.stacks
+    screens = [layout.screen(c) for c in range(nblocks)]
+    runs = [
+        maximal._ascend_block(stacks[c], xs_arr[c], opts.max_sweeps, False, screens[c])
+        for c in range(nblocks)
+    ]
+    sweeps = max(sw for sw, _ in runs)
+    stalled = any(stop == "budget" for _, stop in runs)
+    if not stalled:
+        sweeps += max(
+            maximal._ascend_block(stacks[c], xs_arr[c], 30, True, screens[c])[0]
+            for c in range(nblocks)
+        )
+    xs = tuple(tuple(maximal._sym(x) for x in xc) for xc in xs_arr)
+    objective = maximal._point_objective(stacks, xs)
+    stalled = stalled and max(0.0, dual() - objective) > maximal.STALL_GAP * scale
+    return maximal.MaximizerSolution(
+        xs=xs, objective=objective, sweeps=sweeps, stalled=stalled, _dual=dual
+    )
+
+
+def always_polish(monkeypatch) -> None:
+    """Make every solve the reference that polishes every block."""
+
+    monkeypatch.setattr(maximal, "_solve_from_blocks", reference_solve_from_blocks)

@@ -52,6 +52,7 @@ from ergocert.maximal import (
     ProjectionPath,
     SolveOptions,
     _ascend_block,
+    _payoff_stacks,
     _point_objective,
     _slices,
     _stacked,
@@ -73,6 +74,7 @@ from ergocert.scenario import certificate_record, dumps
 from ergocert.suite import suite_instance
 
 from helpers import (
+    always_polish,
     count_dual_calls,
     perturbed_eigh,
     random_hermitian,
@@ -315,6 +317,65 @@ def test_monotone_ascent_per_sweep():
         assert hi >= lo - 1e-12
 
 
+def _readme_instance():
+    state, ext = _float_limit_instance()
+    return state, LOneElement(HermitianOperator([np.diag([1.5, 0.8])])), ext
+
+
+def test_only_a_block_stopped_on_the_objective_is_polished(monkeypatch):
+    # (block dim, to_fixed_point, (sweeps, stop)) of every block ascent
+    runs = []
+    real = maximal._ascend_block
+
+    def recording(bs, xs, budget, to_fixed_point, screen):
+        runs.append((bs.shape[-1], to_fixed_point, real(bs, xs, budget, to_fixed_point, screen)))
+        return runs[-1][2]
+
+    monkeypatch.setattr(maximal, "_ascend_block", recording)
+    # the README instance's one block ends on a sweep that changed nothing:
+    # no polish runs, and the 1 sweep it would take is counted
+    state, a, ext = _readme_instance()
+    sol = solve_maximizer(a, 1.0, 4, state, ext)
+    assert runs == [(2, False, (3, "fixed"))]
+    assert sol.sweeps == 3 + 1 and not sol.stalled
+    # a 2+3 instance whose 3-dim block alone stops on TOL_OBJ
+    runs.clear()
+    _, state, a, ext = _certified_instance(5)
+    sol = solve_maximizer(a, 0.5, 3, state, ext)
+    assert runs == [(2, False, (4, "fixed")), (3, False, (6, "flat")), (3, True, (7, "fixed"))]
+    assert sol.sweeps == 6 + 7 and not sol.stalled
+
+
+def test_skipping_the_polish_of_fixed_blocks_changes_no_solve(monkeypatch):
+    # every solve equals the one that polishes each block, bit for bit
+    inst23 = _certified_instance(5)[1:]
+    inst20 = _certified_instance(8, dims=(20,), trace=10.0)[1:]
+    cases = [
+        (_readme_instance(), 1.0, 4, SolveOptions()),
+        (inst23, 0.5, 3, SolveOptions()),
+        (inst20, 0.5, 8, SolveOptions()),
+    ]
+    # budgets that stall the 2+3 solve; at 5 its 2-dim block stops "fixed"
+    cases += [(inst23, 0.5, 3, SolveOptions(max_sweeps=k)) for k in (0, 1, 2, 5)]
+    stalled = []
+    for (state, a, ext), lam, n, opts in cases:
+        got = solve_maximizer(a, lam, n, state, ext, opts)
+        with monkeypatch.context() as m:
+            always_polish(m)
+            want = solve_maximizer(a, lam, n, state, ext, opts)
+        assert len(got.xs) == len(want.xs)
+        for got_c, want_c in zip(got.xs, want.xs):
+            assert len(got_c) == len(want_c)
+            assert all(_same_bits(g, w) for g, w in zip(got_c, want_c))
+        assert (got.objective, got.sweeps, got.stalled) == (
+            want.objective,
+            want.sweeps,
+            want.stalled,
+        )
+        stalled.append(got.stalled)
+    assert stalled == [False] * 3 + [True] * 4
+
+
 def _shift_compared(sol, payoffs, adjoint):
     # g(x) >= g(shift x) at every feasible shifted point: the comparison
     # the mass bound's derivation makes against the returned maximizer;
@@ -535,6 +596,18 @@ def test_stacked_payoffs_match_the_operator_definition():
         slices.append(len(_slices(want[0])))
     # the 20-dim block's stack spans several slices
     assert slices[2] > 1
+
+
+def test_payoff_over_a_zero_density_entry_is_a_positive_zero():
+    # S_0 holds -0.0 off the diagonal, over the +0.0 of lambda rho there:
+    # the operators' S_0 - lambda rho is -0.0 there, _payoff_stacks +0.0
+    rho = HermitianOperator([np.diag([0.7, 0.3])])
+    s_0 = np.array([[1.5, complex(-0.0, 0.0)], [complex(-0.0, 0.0), 0.8]])
+    got = _payoff_stacks(1.0, rho, [s_0[None]], 0)[0][0]
+    want = reference_payoffs([HermitianOperator._exact([s_0])], 1.0, rho)[0].blocks[0]
+    assert [repr(complex(got[i, j])) for i, j in ((0, 1), (1, 0))] == ["0j", "0j"]
+    assert [repr(complex(want[i, j])) for i, j in ((0, 1), (1, 0))] == ["(-0+0j)"] * 2
+    assert _same_bits(np.diag(got), np.diag(want))
 
 
 def test_path_keeps_no_operator_per_order():

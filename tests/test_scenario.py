@@ -21,7 +21,7 @@ from ergocert.scenario import (
     run_scenario,
 )
 
-from helpers import count_dual_calls, read_every_bound_at_once
+from helpers import always_polish, count_dual_calls, read_every_bound_at_once
 
 
 def trivial_dict(**over):
@@ -378,6 +378,18 @@ def test_lazy_dual_bounds_leave_reports_byte_identical(monkeypatch):
     lazy = [dumps(run_scenario(sc)) for sc in scenarios]
     read_every_bound_at_once(monkeypatch)
     assert [dumps(run_scenario(sc)) for sc in scenarios] == lazy
+
+
+def test_skipping_the_polish_of_fixed_blocks_leaves_reports_byte_identical(monkeypatch):
+    # the tracial element reaches the ascent, where tracial_dict()'s does not
+    element = [[[1.5, 0.0], [0.0, 0.25]]]
+    scenarios = [
+        _random_input_scenario(n_max=3, horizon=6),
+        Scenario.from_dict(tracial_dict(input={"kind": "embed", "element": element})),
+    ]
+    skipped = [dumps(run_scenario(sc)) for sc in scenarios]
+    always_polish(monkeypatch)
+    assert [dumps(run_scenario(sc)) for sc in scenarios] == skipped
 
 
 def test_residual_layer_compresses_stacks_without_operators(monkeypatch):

@@ -9,7 +9,7 @@ from ergocert.maximal import SolveOptions, pointwise_certificate
 from ergocert.scenario import certificate_record, dumps, export_csv, loads
 from ergocert.suite import SUITE_LAMBDAS, dims_pool, run_suite, suite_instance
 
-from helpers import count_dual_calls, read_every_bound_at_once
+from helpers import always_polish, count_dual_calls, read_every_bound_at_once
 
 
 def test_dims_pool_shapes():
@@ -150,6 +150,14 @@ def test_lazy_dual_bounds_leave_the_suite_report_byte_identical(monkeypatch):
     lazy = dumps(run_suite(0, 6))
     read_every_bound_at_once(monkeypatch)
     assert dumps(run_suite(0, 6)) == lazy
+
+
+def test_skipping_the_polish_of_fixed_blocks_leaves_the_suite_report_byte_identical(
+    monkeypatch,
+):
+    skipped = dumps(run_suite(0, 6))
+    always_polish(monkeypatch)
+    assert dumps(run_suite(0, 6)) == skipped
 
 
 def test_run_suite_reports_the_worst_relative_gap():
