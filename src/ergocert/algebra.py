@@ -30,6 +30,7 @@ from .errors import (
 from .linalg import (
     BlockMatrix,
     HermitianOperator,
+    _result,
     apply_spectral,
     eigh,
     is_psd,
@@ -116,7 +117,7 @@ class State:
         for w, u in zip(spec.eigenvalues, spec.vectors):
             phases = np.exp(1j * t * np.log(w))
             blocks.append((u * phases) @ u.conj().T)
-        return BlockMatrix(blocks)
+        return _result(BlockMatrix, blocks)
 
     def expectation(self, x: BlockMatrix) -> float:
         """phi(x) = Tr(rho x) for self-adjoint x (real part returned)."""
@@ -181,10 +182,7 @@ def embed_l1(x: HermitianOperator, state: State) -> LOneElement:
 
     state.algebra.check_member(x)
     half = state.power(0.5)
-    prod = half @ x @ half
-    if isinstance(x, HermitianOperator):
-        prod = HermitianOperator._exact(prod.blocks)
-    return LOneElement(prod)
+    return LOneElement(_result(type(x), (half @ x @ half).blocks))
 
 
 def kosaki_norm(x: BlockMatrix, p: float, state: State) -> float:
@@ -208,10 +206,7 @@ def modular_flow(x: BlockMatrix, t: float, state: State) -> BlockMatrix:
 
     state.algebra.check_member(x)
     u = state.unitary_power(float(t))
-    blocks = [a @ b @ a.conj().T for a, b in zip(u.blocks, x.blocks)]
-    if isinstance(x, HermitianOperator):
-        return HermitianOperator._exact(blocks)
-    return BlockMatrix(blocks)
+    return _result(type(x), [a @ b @ a.conj().T for a, b in zip(u.blocks, x.blocks)])
 
 
 # -- seeded generators ----------------------------------------------------

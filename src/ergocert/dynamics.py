@@ -45,6 +45,8 @@ from .errors import (
 from .linalg import (
     BlockMatrix,
     HermitianOperator,
+    _result,
+    _sym,
     apply_spectral,
     max_eigenvalue,
     min_eigenvalue,
@@ -91,7 +93,7 @@ def _to_full(x: BlockMatrix) -> np.ndarray:
 def _pinch_full(signature: tuple[int, ...], full: np.ndarray) -> list[np.ndarray]:
     blocks, k = [], 0
     for d in signature:
-        blocks.append(np.array(full[k : k + d, k : k + d]))
+        blocks.append(full[k : k + d, k : k + d])
         k += d
     return blocks
 
@@ -103,7 +105,7 @@ def _vec(x: BlockMatrix) -> np.ndarray:
 def _unvec(signature: tuple[int, ...], v: np.ndarray) -> list[np.ndarray]:
     blocks, k = [], 0
     for d in signature:
-        blocks.append(np.array(v[k : k + d * d].reshape(d, d)))
+        blocks.append(v[k : k + d * d].reshape(d, d))
         k += d * d
     return blocks
 
@@ -116,13 +118,6 @@ def _transpose_permutation(signature: tuple[int, ...]) -> np.ndarray:
         perm.extend((k + idx).tolist())
         k += d * d
     return np.asarray(perm, dtype=np.intp)
-
-
-def _wrap_like(x: BlockMatrix, blocks: list[np.ndarray]) -> BlockMatrix:
-    if isinstance(x, HermitianOperator):
-        # map is hermiticity-preserving; the operator symmetrizes away roundoff skew
-        return HermitianOperator._exact(blocks)
-    return BlockMatrix(blocks)
 
 
 # -- map models ------------------------------------------------------------
@@ -223,9 +218,9 @@ class PositiveMapModel:
             acc = np.zeros_like(full)
             for w, v in zip(self.kraus_weights, self.kraus_ops):
                 acc += w * (v.conj().T @ full @ v)
-            return _wrap_like(x, _pinch_full(self.algebra.signature, acc))
+            return _result(type(x), _pinch_full(self.algebra.signature, acc))
         out = self.matrix @ _vec(x)
-        return _wrap_like(x, _unvec(self.algebra.signature, out))
+        return _result(type(x), _unvec(self.algebra.signature, out))
 
     def trace_adjoint(self) -> "PositiveMapModel":
         """Adjoint for the trace pairing Tr(T(x)* y) = Tr(x* T_adj(y))."""
@@ -253,7 +248,7 @@ def _superop_from_callable(algebra: Algebra, f) -> np.ndarray:
     for k in range(c):
         v = np.zeros(c, dtype=np.complex128)
         v[k] = 1.0
-        out[:, k] = _vec(f(BlockMatrix(_unvec(algebra.signature, v))))
+        out[:, k] = _vec(f(_result(BlockMatrix, _unvec(algebra.signature, v))))
     return out
 
 
@@ -286,7 +281,7 @@ def _sampled_positivity_worst(T: PositiveMapModel, samples: int) -> float:
     zeros = [np.zeros((d, d), dtype=np.complex128) for d in sig]
 
     def min_eig_at(c: int, v: np.ndarray) -> float:
-        blocks = [b.copy() for b in zeros]
+        blocks = list(zeros)
         blocks[c] = np.outer(v, v.conj())
         image = T.apply(HermitianOperator._exact(blocks))
         return min_eigenvalue(image)
@@ -410,8 +405,8 @@ class ExtendedMap:
             return self.base.apply(x)
         outer = self.state.power(1.0 / (2.0 * pf))
         inner = self.state.power(-1.0 / (2.0 * pf))
-        mid = self.base.apply(_wrap_like(x, [b.copy() for b in (inner @ x @ inner).blocks]))
-        return _wrap_like(x, [b.copy() for b in (outer @ mid @ outer).blocks])
+        mid = self.base.apply(_result(type(x), (inner @ x @ inner).blocks))
+        return _result(type(x), (outer @ mid @ outer).blocks)
 
 
 def extend_l1(
@@ -440,7 +435,7 @@ def extend_l1(
         neg_half = state.power(-0.5)
 
         def f(x: BlockMatrix) -> BlockMatrix:
-            return half @ T.apply(BlockMatrix((neg_half @ x @ neg_half).blocks)) @ half
+            return half @ T.apply(neg_half @ x @ neg_half) @ half
 
         l1_action = PositiveMapModel(
             T.algebra,
@@ -632,10 +627,10 @@ def _modular_invariant(sig, groups, state: State) -> bool:
             for i, j in product(g, repeat=2):
                 blocks = [np.zeros((d, d), dtype=np.complex128) for d in sig]
                 blocks[c][i, j] = 1.0
-                b = BlockMatrix(blocks)
+                b = _result(BlockMatrix, blocks)
                 for t in MODULAR_CHECK_TIMES:
                     y = modular_flow(b, t, state)
-                    pinched = BlockMatrix(_partition_pinch(sig, groups, y))
+                    pinched = _result(BlockMatrix, _partition_pinch(sig, groups, y))
                     if op_norm(y - pinched) > MODULAR_INVARIANCE_RTOL:
                         return False
     return True
@@ -706,8 +701,8 @@ def random_certified_map(
         push = sum(w * (v @ rho_full @ v.conj().T) for w, v in zip(weights, ops))
         sandwiched = neg_half_full @ push @ neg_half_full
         bound = max(
-            float(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[-1]),
-            float(np.linalg.eigvalsh(0.5 * (sandwiched + sandwiched.conj().T))[-1]),
+            float(np.linalg.eigvalsh(_sym(gram))[-1]),
+            float(np.linalg.eigvalsh(_sym(sandwiched))[-1]),
         )
         if bound <= 0.0 or not np.isfinite(bound):
             continue

@@ -7,6 +7,14 @@ symmetrized).  Spectral routines work blockwise through ``numpy.linalg``
 and feed a small functional calculus: ``apply_spectral``, positive parts,
 and spectral projections with an explicit tolerance policy at cut points.
 
+``_result`` makes every operation's result by one rule: a
+``HermitianOperator``, each block symmetrized by ``_sym`` (the package's one
+symmetrization), exactly when the operands make it one (a sum or difference
+of two, the negation, adjoint or copy of one, a real multiple, its image
+under a hermiticity-preserving map), else a ``BlockMatrix``, as for any
+product.  Constructors copy a caller's blocks once; results take their fresh
+blocks uncopied.  Every block is checked square and finite.
+
 Tolerance conventions used throughout:
 
 * hermiticity defect at construction: ``1e-12 * scale`` with
@@ -49,18 +57,36 @@ PSD_TOL = 1e-9
 KERNEL_EPS = 1e-8
 
 
-def _as_blocks(blocks: Iterable[np.ndarray]) -> tuple[np.ndarray, ...]:
+def _sym(m: np.ndarray) -> np.ndarray:
+    # hermitian part of a matrix, or of each matrix of a stack, as a fresh C-ordered
+    # array; halved before the sum so that finite entries near the float limit stay finite
+    h = 0.5 * m
+    return h + h.conj().swapaxes(-1, -2)
+
+
+def _as_blocks(blocks: Iterable[np.ndarray], hermitian: bool) -> tuple[np.ndarray, ...]:
+    # checked square and finite, then symmetrized by _sym when hermitian,
+    # else made C-ordered
     out = []
     for b in blocks:
-        arr = np.array(b, dtype=np.complex128, copy=True, order="C")
+        arr = np.asarray(b, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise InputError(f"blocks must be square matrices, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr.view(np.float64))):
+        if not np.isfinite(arr).all():
             raise InputError("block entries must be finite")
-        out.append(arr)
+        out.append(_sym(arr) if hermitian else np.ascontiguousarray(arr))
     if not out:
         raise InputError("at least one block is required")
     return tuple(out)
+
+
+def _result(cls: type["BlockMatrix"], blocks: Iterable[np.ndarray]) -> "BlockMatrix":
+    # the result of class cls, picked by the module docstring's rule, from its
+    # fresh blocks, taken uncopied
+    out = cls.__new__(cls)
+    out.blocks = _as_blocks(blocks, issubclass(cls, HermitianOperator))
+    out._spec = None
+    return out
 
 
 class BlockMatrix:
@@ -69,7 +95,8 @@ class BlockMatrix:
     __slots__ = ("blocks", "_spec")
 
     def __init__(self, blocks: Iterable[np.ndarray]):
-        self.blocks = _as_blocks(blocks)
+        copies = (np.array(b, dtype=np.complex128, order="C") for b in blocks)
+        self.blocks = _as_blocks(copies, hermitian=False)
         self._spec = None
 
     # -- structure ---------------------------------------------------------
@@ -88,34 +115,39 @@ class BlockMatrix:
 
     @classmethod
     def zeros(cls, dims: Sequence[int]) -> "BlockMatrix":
-        return cls([np.zeros((d, d), dtype=np.complex128) for d in dims])
+        return _result(cls, [np.zeros((d, d), dtype=np.complex128) for d in dims])
 
     @classmethod
     def identity(cls, dims: Sequence[int]) -> "BlockMatrix":
-        return cls([np.eye(d, dtype=np.complex128) for d in dims])
+        return _result(cls, [np.eye(d, dtype=np.complex128) for d in dims])
 
-    # -- arithmetic --------------------------------------------------------
+    # -- arithmetic: a HermitianOperator exactly when the operands make one
+
+    def _sum_class(self, other: "BlockMatrix") -> type["BlockMatrix"]:
+        self._check_same_shape(other)
+        return type(self) if type(other) is type(self) else BlockMatrix
 
     def __add__(self, other: "BlockMatrix") -> "BlockMatrix":
-        self._check_same_shape(other)
-        return BlockMatrix([a + b for a, b in zip(self.blocks, other.blocks)])
+        cls = self._sum_class(other)
+        return _result(cls, [a + b for a, b in zip(self.blocks, other.blocks)])
 
     def __sub__(self, other: "BlockMatrix") -> "BlockMatrix":
-        self._check_same_shape(other)
-        return BlockMatrix([a - b for a, b in zip(self.blocks, other.blocks)])
+        cls = self._sum_class(other)
+        return _result(cls, [a - b for a, b in zip(self.blocks, other.blocks)])
 
     def __neg__(self) -> "BlockMatrix":
-        return BlockMatrix([-a for a in self.blocks])
+        return _result(type(self), [-a for a in self.blocks])
 
     def __rmul__(self, c: complex) -> "BlockMatrix":
-        return BlockMatrix([c * a for a in self.blocks])
+        blocks = [c * a for a in self.blocks]
+        return _result(type(self) if np.imag(c) == 0.0 else BlockMatrix, blocks)
 
     def __matmul__(self, other: "BlockMatrix") -> "BlockMatrix":
         self._check_same_shape(other)
-        return BlockMatrix([a @ b for a, b in zip(self.blocks, other.blocks)])
+        return _result(BlockMatrix, [a @ b for a, b in zip(self.blocks, other.blocks)])
 
     def adjoint(self) -> "BlockMatrix":
-        return BlockMatrix([a.conj().T for a in self.blocks])
+        return _result(type(self), [a.conj().T for a in self.blocks])
 
     def trace(self) -> complex:
         return complex(sum(np.trace(a) for a in self.blocks))
@@ -124,7 +156,8 @@ class BlockMatrix:
         return float(sum(np.trace(a).real for a in self.blocks))
 
     def copy(self) -> "BlockMatrix":
-        return BlockMatrix(self.blocks)
+        # _sym gives a hermitian block's bits back unless an entry is below 2**-1021
+        return _result(type(self), [b.copy() for b in self.blocks])
 
     def allclose(self, other: "BlockMatrix", atol: float = 1e-12) -> bool:
         self._check_same_shape(other)
@@ -149,37 +182,28 @@ class HermitianOperator(BlockMatrix):
     """Self-adjoint ``BlockMatrix``.
 
     Construction rejects inputs whose hermiticity defect exceeds
-    ``1e-12 * scale`` and stores the symmetrized ``A/2 + (A/2)*``, halved
-    before the sum so that finite entries near the float limit stay finite.
+    ``1e-12 * scale`` and stores each block symmetrized by ``_sym``:
+    ``A/2 + (A/2)*``, halved before the sum so that finite entries near the
+    float limit stay finite.
     """
 
     __slots__ = ()
 
-    def __init__(self, blocks: Iterable[np.ndarray], *, _skip_check: bool = False):
+    def __init__(self, blocks: Iterable[np.ndarray]):
         super().__init__(blocks)
-        if not _skip_check:
-            defect = self.hermiticity_defect()
-            scale = max(1.0, self.max_abs_entry())
-            if defect > HERMITICITY_RTOL * scale:
-                raise InputError(
-                    f"hermiticity defect {defect:.3e} exceeds "
-                    f"{HERMITICITY_RTOL:.0e} * scale ({scale:.3e})"
-                )
-        halves = (0.5 * a for a in self.blocks)
-        self.blocks = tuple(h + h.conj().T for h in halves)
+        defect = self.hermiticity_defect()
+        scale = max(1.0, self.max_abs_entry())
+        if defect > HERMITICITY_RTOL * scale:
+            raise InputError(
+                f"hermiticity defect {defect:.3e} exceeds "
+                f"{HERMITICITY_RTOL:.0e} * scale ({scale:.3e})"
+            )
+        self.blocks = tuple(_sym(b) for b in self.blocks)
 
     @classmethod
     def _exact(cls, blocks: Iterable[np.ndarray]) -> "HermitianOperator":
         # for results hermitian by construction (sums, congruences, calculus)
-        return cls(blocks, _skip_check=True)
-
-    @classmethod
-    def zeros(cls, dims: Sequence[int]) -> "HermitianOperator":
-        return cls._exact([np.zeros((d, d), dtype=np.complex128) for d in dims])
-
-    @classmethod
-    def identity(cls, dims: Sequence[int]) -> "HermitianOperator":
-        return cls._exact([np.eye(d, dtype=np.complex128) for d in dims])
+        return _result(cls, blocks)
 
     @classmethod
     def from_diagonal(cls, dims: Sequence[int], diag: Sequence[float]) -> "HermitianOperator":
@@ -190,29 +214,6 @@ class HermitianOperator(BlockMatrix):
             blocks.append(np.diag(np.asarray(diag[k : k + d], dtype=np.float64)).astype(np.complex128))
             k += d
         return cls._exact(blocks)
-
-    def __add__(self, other: BlockMatrix) -> BlockMatrix:
-        self._check_same_shape(other)
-        blocks = [a + b for a, b in zip(self.blocks, other.blocks)]
-        if isinstance(other, HermitianOperator):
-            return HermitianOperator._exact(blocks)
-        return BlockMatrix(blocks)
-
-    def __sub__(self, other: BlockMatrix) -> BlockMatrix:
-        self._check_same_shape(other)
-        blocks = [a - b for a, b in zip(self.blocks, other.blocks)]
-        if isinstance(other, HermitianOperator):
-            return HermitianOperator._exact(blocks)
-        return BlockMatrix(blocks)
-
-    def __neg__(self) -> "HermitianOperator":
-        return HermitianOperator._exact([-a for a in self.blocks])
-
-    def __rmul__(self, c: complex) -> BlockMatrix:
-        blocks = [c * a for a in self.blocks]
-        if isinstance(c, (int, float)) or (isinstance(c, complex) and c.imag == 0.0):
-            return HermitianOperator._exact(blocks)
-        return BlockMatrix(blocks)
 
 
 @dataclass(frozen=True)

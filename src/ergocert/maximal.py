@@ -54,6 +54,7 @@ from .linalg import (
     KERNEL_EPS,
     PSD_TOL,
     HermitianOperator,
+    _sym,
     apply_spectral,
     compress,
     eigh,  # noqa: F401  (bound here for perfbench's layer trace and its smoke test)
@@ -184,7 +185,9 @@ class MaximizerSolution(_ReadsDualBound):
     because ``stalled`` is decided by the gap.  ``sweeps`` is the most
     ascent sweeps of any algebra block plus the most polish sweeps; a
     block already at a fixed point is not swept again, and counts the 1
-    sweep its polish would take.
+    sweep its polish would take.  A polish runs toward a fixed point for
+    at most 30 sweeps and can stop on that budget short of one; nothing
+    here records which.
     """
 
     xs: tuple[tuple[np.ndarray, ...], ...]
@@ -234,13 +237,6 @@ class LimitDiagnostics:
 
 
 # -- dense per-block kernels -------------------------------------------------
-
-
-def _sym(m: np.ndarray) -> np.ndarray:
-    # hermitian part of a matrix, or of each matrix of a stack, halved before
-    # the sum so that finite entries near the float limit stay finite
-    h = 0.5 * m
-    return h + h.conj().swapaxes(-1, -2)
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -493,10 +489,11 @@ def _solve_from_blocks(
     total_sweeps = max(sw for sw, _ in runs)
     stalled = any(stop == "budget" for _, stop in runs)
     if not stalled:
-        # polish to a literal fixed point of the block update; the pointwise
-        # inequality is a first-order condition there, independent of the gap.
-        # A "fixed" block is at one: its polish would repeat its last sweep
-        # bit for bit and return 1, so that 1 is counted and nothing is run
+        # polish toward a fixed point of the block update, where the pointwise
+        # inequality is a first-order condition independent of the gap; the
+        # polish can stop on its 30-sweep budget short of one, and no record
+        # says so yet.  A "fixed" block is at one: its polish would repeat its
+        # last sweep bit for bit and return 1, so that 1 is counted, not run
         total_sweeps += max(
             _ascend_block(stacks[c], xs_arr[c], 30, True, screens[c])[0] if stop == "flat" else 1
             for c, (_, stop) in enumerate(runs)
@@ -570,13 +567,15 @@ def solve_maximizer(
     ``STALL_GAP`` times the payoff scale.  A solve is the ascent of each
     algebra block until a sweep changes nothing or an objective gain falls
     below ``TOL_OBJ`` relative, then, for the blocks that stopped on
-    ``TOL_OBJ``, at most 30 sweeps toward a literal fixed point of the
-    block update; a block whose last sweep changed nothing is at one already and
-    is not swept again, and no block is polished when any ran out of
-    sweeps.  ``sweeps`` counts both phases (``MaximizerSolution``).  The
-    dual bound of B_0, ..., B_n is computed when ``dual_bound`` or ``gap``
-    is first read, or at once when the ascent ran out of sweeps, since
-    ``stalled`` needs the gap.  The solve starts cold.
+    ``TOL_OBJ``, a polish that runs toward a fixed point of the block
+    update for at most 30 sweeps and can stop on that budget short of one
+    (the solution does not record which); a block whose last sweep changed
+    nothing is at a fixed point already and is not swept again, and no
+    block is polished when any ran out of sweeps.  ``sweeps`` counts both
+    phases (``MaximizerSolution``).  The dual bound of B_0, ..., B_n is
+    computed when ``dual_bound`` or ``gap`` is first read, or at once when
+    the ascent ran out of sweeps, since ``stalled`` needs the gap.  The
+    solve starts cold.
     """
 
     layout = PayoffLayout(_state_problem(a, lam, n, state, ext))

@@ -35,6 +35,7 @@ from ergocert.linalg import (
 from helpers import (
     perturbed_eigh,
     random_block_matrix,
+    random_complex,
     random_hermitian,
     random_psd,
     random_unitary,
@@ -96,6 +97,153 @@ def test_dimension_mismatch():
 
     with pytest.raises(DimensionMismatch):
         HermitianOperator.identity([2]) + HermitianOperator.identity([3])
+
+
+# -- the result rule -------------------------------------------------------
+
+
+def _halved_sym(m):
+    # the symmetrization every hermitian result stores, spelled out here
+    h = 0.5 * m
+    return h + h.conj().T
+
+
+def _rule_cases():
+    rng = np.random.default_rng(16)
+    dims = (2, 3)
+    h, k = random_hermitian(rng, dims), random_hermitian(rng, dims)
+    b, c = random_block_matrix(rng, dims), random_block_matrix(rng, dims)
+    ops = {"H": h, "B": b}
+    second = {"H": k, "B": c}
+    cases = []
+    for left in "HB":
+        for right in "HB":
+            x, y = ops[left], second[right]
+            both = HermitianOperator if left == right == "H" else BlockMatrix
+            cases += [
+                (f"{left}+{right}", lambda x=x, y=y: x + y, both,
+                 [p + q for p, q in zip(x.blocks, y.blocks)]),
+                (f"{left}-{right}", lambda x=x, y=y: x - y, both,
+                 [p - q for p, q in zip(x.blocks, y.blocks)]),
+                (f"{left}@{right}", lambda x=x, y=y: x @ y, BlockMatrix,
+                 [p @ q for p, q in zip(x.blocks, y.blocks)]),
+            ]
+    scalars = {
+        "int": (3, True), "float": (-0.75, True), "float64": (np.float64(1.25), True),
+        "complex-real": (complex(2.0, 0.0), True), "complex": (complex(0.5, 1.5), False),
+    }
+    for name, x in ops.items():
+        cls = type(x)
+        cases += [
+            (f"-{name}", lambda x=x: -x, cls, [-p for p in x.blocks]),
+            (f"{name}.adjoint", x.adjoint, cls, [p.conj().T for p in x.blocks]),
+            (f"{name}.copy", x.copy, cls, list(x.blocks)),
+            (f"{name}.zeros", lambda cls=cls: cls.zeros(dims), cls,
+             [np.zeros((d, d), dtype=np.complex128) for d in dims]),
+            (f"{name}.identity", lambda cls=cls: cls.identity(dims), cls,
+             [np.eye(d, dtype=np.complex128) for d in dims]),
+        ]
+        for sname, (s, real) in scalars.items():
+            cases.append((f"{sname}*{name}", lambda s=s, x=x: s * x,
+                          cls if real else BlockMatrix, [s * p for p in x.blocks]))
+    return cases
+
+
+@pytest.mark.parametrize("case", _rule_cases(), ids=lambda case: case[0])
+def test_each_result_follows_the_hermitian_result_rule(case):
+    _, make, cls, raw = case
+    out = make()
+    assert type(out) is cls
+    want = [_halved_sym(m) for m in raw] if cls is HermitianOperator else raw
+    assert len(out.blocks) == len(want)
+    for got, expected in zip(out.blocks, want):
+        assert got.dtype == np.complex128 and got.flags.c_contiguous
+        assert got.tobytes() == np.asarray(expected, dtype=np.complex128).tobytes()
+
+
+def test_copy_of_a_hermitian_operator_keeps_its_bits():
+    h = random_hermitian(np.random.default_rng(7), (1, 4))
+    out = h.copy()
+    assert type(out) is HermitianOperator
+    assert all(p.tobytes() == q.tobytes() for p, q in zip(out.blocks, h.blocks))
+    assert all(not np.shares_memory(p, q) for p, q in zip(out.blocks, h.blocks))
+
+
+_CONSTRUCTORS = {
+    "BlockMatrix": BlockMatrix,
+    "HermitianOperator": HermitianOperator,
+    "_exact": HermitianOperator._exact,
+}
+
+
+@pytest.mark.parametrize("make", list(_CONSTRUCTORS.values()), ids=list(_CONSTRUCTORS))
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([[np.nan]]),
+        np.array([[1.0, np.inf], [np.inf, 1.0]]),
+        np.array([[1.0, complex(0.0, -np.inf)], [complex(0.0, np.inf), 1.0]]),
+        np.ones((2, 3)),
+        np.ones(3),
+        np.ones((1, 2, 2)),
+        np.zeros((0, 0)),
+    ],
+    ids=["nan", "inf", "imag-inf", "2x3", "vector", "stack", "empty"],
+)
+def test_every_constructor_rejects_nonfinite_or_nonsquare_blocks(make, bad):
+    with pytest.raises(InputError):
+        make([np.eye(2), bad])
+
+
+def test_results_reject_nonfinite_blocks():
+    h = HermitianOperator([np.array([[1e308]])])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InputError):
+            h + h
+        with pytest.raises(InputError):
+            float("nan") * h
+        with pytest.raises(InputError):
+            HermitianOperator.from_diagonal([2], [1.0, float("inf")])
+
+
+@pytest.mark.parametrize("make", list(_CONSTRUCTORS.values()), ids=list(_CONSTRUCTORS))
+def test_an_operator_does_not_alias_its_callers_arrays(make):
+    a = np.array([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, 3.0]])
+    before = make([a]).blocks[0].copy()
+    op = make([a])
+    a[:] = 99.0
+    assert np.array_equal(op.blocks[0], before)
+
+
+def test_exact_symmetrizes_complex_blocks_without_copying_them(monkeypatch):
+    import types
+
+    from ergocert import linalg
+
+    blocks = [random_complex(np.random.default_rng(3), d) for d in (2, 3)]
+    copied, symmetrized = [], []
+    spy = types.SimpleNamespace(**vars(np))
+    for name in ("array", "asarray", "ascontiguousarray", "copy"):
+        def counted(a, *args, _f=getattr(np, name), **kw):
+            out = _f(a, *args, **kw)
+            if any(a is b for b in blocks) and out is not a:
+                copied.append(name)
+            return out
+
+        setattr(spy, name, counted)
+    real_sym = linalg._sym
+
+    def sym(m):
+        symmetrized.append(any(m is b for b in blocks))
+        return real_sym(m)
+
+    monkeypatch.setattr(linalg, "np", spy)
+    monkeypatch.setattr(linalg, "_sym", sym)
+    out = HermitianOperator._exact(blocks)
+    assert copied == []
+    assert symmetrized == [True, True]
+    for got, b in zip(out.blocks, blocks):
+        assert got.tobytes() == _halved_sym(b).tobytes()
 
 
 # -- eigh -----------------------------------------------------------------

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from ergocert import maximal
+from ergocert import linalg, maximal
 from ergocert.errors import NoStableLimit, ScenarioError
-from ergocert.linalg import BlockMatrix
 from ergocert.maximal import pointwise_certificate
 from ergocert.scenario import (
     Scenario,
@@ -359,6 +358,25 @@ def test_run_scenario_solves_each_order_once(monkeypatch, n_max, horizon):
     assert calls == [n + 1 for n in range(max(n_max, horizon) + 1)]
 
 
+def _ascending_tracial_scenario() -> Scenario:
+    # element diag(1.5, 0.25) reaches the solver's ascent; tracial_dict()'s
+    # diag(0.5, 0.25) makes every payoff <= 0 at lambda 1, so it never does
+    element = [[[1.5, 0.0], [0.0, 0.25]]]
+    return Scenario.from_dict(tracial_dict(input={"kind": "embed", "element": element}))
+
+
+def _count_ascents(monkeypatch) -> list[int]:
+    calls = []
+    real = maximal._ascend_block
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(maximal, "_ascend_block", counting)
+    return calls
+
+
 def test_run_scenario_computes_the_dual_bounds_it_reports(monkeypatch):
     calls = count_dual_calls(monkeypatch)
     report = run_scenario(_random_input_scenario(n_max=3, horizon=6))
@@ -366,26 +384,28 @@ def test_run_scenario_computes_the_dual_bounds_it_reports(monkeypatch):
     # the pointwise orders 0..3; the limit orders 4..6 compute none
     assert calls == [1, 2, 3, 4]
     calls.clear()
-    run_scenario(Scenario.from_dict(tracial_dict()))
+    ascents = _count_ascents(monkeypatch)
+    run_scenario(_ascending_tracial_scenario())
+    assert ascents
     assert calls == []
 
 
 def test_lazy_dual_bounds_leave_reports_byte_identical(monkeypatch):
     scenarios = [
         _random_input_scenario(n_max=3, horizon=6),
-        Scenario.from_dict(tracial_dict()),
+        _ascending_tracial_scenario(),
     ]
+    ascents = _count_ascents(monkeypatch)
     lazy = [dumps(run_scenario(sc)) for sc in scenarios]
+    assert ascents
     read_every_bound_at_once(monkeypatch)
     assert [dumps(run_scenario(sc)) for sc in scenarios] == lazy
 
 
 def test_skipping_the_polish_of_fixed_blocks_leaves_reports_byte_identical(monkeypatch):
-    # the tracial element reaches the ascent, where tracial_dict()'s does not
-    element = [[[1.5, 0.0], [0.0, 0.25]]]
     scenarios = [
         _random_input_scenario(n_max=3, horizon=6),
-        Scenario.from_dict(tracial_dict(input={"kind": "embed", "element": element})),
+        _ascending_tracial_scenario(),
     ]
     skipped = [dumps(run_scenario(sc)) for sc in scenarios]
     always_polish(monkeypatch)
@@ -418,12 +438,13 @@ def test_residual_layer_compresses_stacks_without_operators(monkeypatch):
         )
     )
     built, decomposed, records = [], [], []
-    real_init, real_eigh = BlockMatrix.__init__, maximal.eigh_stack
+    real_blocks, real_eigh = linalg._as_blocks, maximal.eigh_stack
     real_slacks = maximal._domination_slacks
 
-    def counting_init(self, blocks):
-        built.append(type(self))
-        real_init(self, blocks)
+    def counting_blocks(blocks, hermitian):
+        # every operator's blocks pass here once: a constructor's or a result's
+        built.append(hermitian)
+        return real_blocks(blocks, hermitian)
 
     def counting_eigh(stack):
         decomposed.append(len(stack))
@@ -438,7 +459,7 @@ def test_residual_layer_compresses_stacks_without_operators(monkeypatch):
 
         return measured
 
-    monkeypatch.setattr(BlockMatrix, "__init__", counting_init)
+    monkeypatch.setattr(linalg, "_as_blocks", counting_blocks)
     monkeypatch.setattr(maximal, "eigh_stack", counting_eigh)
     monkeypatch.setattr(maximal, "_domination_slacks", layer(real_slacks))
     report = run_scenario(sc)
