@@ -429,13 +429,13 @@ class PayoffLayout:
         """The first m payoffs, as views of the arrays laid out now.
 
         ``extend`` only appends, so the view holds the bytes this layout
-        held when it had m payoffs.
+        held when it had m payoffs.  It carries the stacks, the spectra and
+        the masses that ``dual_upper_bound`` reads, and no swap screen.
         """
 
         view = object.__new__(PayoffLayout)
         view.stacks = [stack[:m] for stack in self.stacks]
         view.lows, view.tops, view.masses = self.lows[:m], self.tops[:m], self.masses[:m]
-        view._screens = [screen[:m, :m] for screen in self._screens]
         return view
 
     def extend(self, fresh: list[np.ndarray]) -> None:
@@ -606,24 +606,32 @@ def _payoff_summary(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return w[:, 0], w[:, -1], np.sum(np.maximum(w, 0.0), axis=1)
 
 
-def _witness_spectrum(
-    z: list[np.ndarray], stacks: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Least and largest eigenvalue of each of Z, Z - B_0, ..., Z - B_{m-1}.
+def _extremes(families) -> tuple[np.ndarray, np.ndarray]:
+    """Least and largest eigenvalue of every operator of a family, over its blocks.
 
-    Each operator's extremes are taken over all its blocks; every block
-    decomposes [Z; Z - B_0; ...] in checked batched calls.
+    ``families`` yields, per algebra block in order, the parts of the
+    family's ``(k, d, d)`` stack in order, as ``_slices`` cuts them.  Each
+    part is decomposed in one checked ``eigh_stack`` call, so every matrix
+    gets the eigenvalues ``eigh`` gives it alone.  Ties between blocks go
+    to the first block, as ``min_eigenvalue`` and ``max_eigenvalue`` take
+    them, so a signed zero keeps its sign.  ``_norms`` turns the extremes
+    into operator norms.
     """
 
-    lows, highs = [], []
-    for zc, stack in zip(z, stacks):
-        witness = np.empty((len(stack) + 1,) + zc.shape, dtype=np.complex128)
-        witness[0] = zc
-        np.subtract(zc, stack, out=witness[1:])
-        w = np.concatenate([eigh_stack(witness[part])[0] for part in _slices(witness)])
-        lows.append(w[:, 0])
-        highs.append(w[:, -1])
-    return np.min(lows, axis=0), np.max(highs, axis=0)
+    # eigenvalues are finite (eigh_stack raises otherwise), so the first
+    # block replaces the infinities
+    lows, tops = np.inf, -np.inf
+    for parts in families:
+        w = np.concatenate([eigh_stack(part)[0][:, [0, -1]] for part in parts])
+        lows = np.where(w[:, 0] < lows, w[:, 0], lows)
+        tops = np.where(w[:, 1] > tops, w[:, 1], tops)
+    return lows, tops
+
+
+def _norms(stacks: list[np.ndarray]) -> np.ndarray:
+    # op_norm of every operator of a family held as per-block stacks
+    low, top = _extremes([stack[part] for part in _slices(stack)] for stack in stacks)
+    return np.maximum(np.abs(low), np.abs(top))
 
 
 def dual_upper_bound(blocks_B: tuple[HermitianOperator, ...] | PayoffLayout) -> float:
@@ -644,9 +652,11 @@ def dual_upper_bound(blocks_B: tuple[HermitianOperator, ...] | PayoffLayout) -> 
     and spectra the bound reads.  Evaluation is stacked: each algebra
     block holds its payoffs as one ``(m, d, d)`` array, every fold step
     runs for all sweep orders in one batched decomposition, and a
-    candidate's witness check decomposes ``[Z; Z - B_0; ...; Z - B_{m-1}]``
-    once, in slices of about ``STACK_SLICE_BYTES``.  Acceptance is
-    ``is_psd``'s rule per operator, over all blocks of that operator.
+    candidate's witness check builds ``[Z; Z - B_0; ...; Z - B_{m-1}]``
+    one algebra block at a time and reads each operator's least and
+    largest eigenvalue over its blocks through ``_extremes``, in slices of
+    about ``STACK_SLICE_BYTES``.  Acceptance is ``is_psd``'s rule per
+    operator, over all blocks of that operator.
     """
 
     if isinstance(blocks_B, PayoffLayout):
@@ -673,6 +683,14 @@ def dual_upper_bound(blocks_B: tuple[HermitianOperator, ...] | PayoffLayout) -> 
             folds[c] = folds[c] + step
     candidates = [[fc[k] for fc in folds] for k in range(len(orders))]
 
+    def witness_parts(z: list[np.ndarray]):
+        # per block, the parts of the stack [Z; Z - B_0; ...; Z - B_{m-1}],
+        # built one block at a time
+        for zc, stack in zip(z, stacks):
+            witness = np.concatenate((zc[None], stack))
+            np.subtract(zc, witness[1:], out=witness[1:])
+            yield [witness[part] for part in _slices(witness)]
+
     def witness_value(z: list[np.ndarray], lo: np.ndarray) -> float:
         # Tr(Z) plus the eigenvalue deficit, spread over the whole dimension
         deficit = max(0.0, float(np.max(-lo)))
@@ -681,7 +699,7 @@ def dual_upper_bound(blocks_B: tuple[HermitianOperator, ...] | PayoffLayout) -> 
     best = math.inf
     fallback = None
     for z in candidates:
-        lo, hi = _witness_spectrum(z, stacks)
+        lo, hi = _extremes(witness_parts(z))
         if fallback is None:
             fallback = witness_value(z, lo)
         scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
@@ -886,19 +904,18 @@ def _domination_slacks(
 
     ``averages`` holds one ``(m, d, d)`` stack of S_0, ..., S_{m-1} per
     algebra block.  Each slice of a block's stack (``_slices``) is cut
-    into its ceilings (``_ceiling``), compressed by e in one batched
-    product and decomposed in one checked ``eigh_stack`` call, so no
-    ceiling stack is held whole; every matrix gets the bits ``compress``
-    and ``eigh`` give it alone.  An operator's least eigenvalue is the
-    least over its blocks, the first block on ties as ``min_eigenvalue``
-    takes it, so a signed zero keeps its sign.
+    into its ceilings (``_ceiling``) and compressed by e in one batched
+    product, and ``_extremes`` decomposes it in one checked ``eigh_stack``
+    call, so no ceiling stack is held whole; every matrix gets the bits
+    ``compress`` and ``eigh`` give it alone.  An operator's least
+    eigenvalue is the least over its blocks, the first block on ties as
+    ``min_eigenvalue`` takes it, so a signed zero keeps its sign.
     """
 
-    lows = None
-    for ec, d, stack in zip(e.blocks, density.blocks, averages):
-        parts = (_ceiling(scale, d, stack[part]) for part in _slices(stack))
-        w = np.concatenate([eigh_stack(_sym((ec @ c) @ ec))[0][:, 0] for c in parts])
-        lows = w if lows is None else np.where(w < lows, w, lows)
+    lows, _ = _extremes(
+        (_sym((ec @ _ceiling(scale, d, stack[part])) @ ec) for part in _slices(stack))
+        for ec, d, stack in zip(e.blocks, density.blocks, averages)
+    )
     return {f"{prefix}{r}": float(low) for r, low in enumerate(lows)}
 
 
@@ -961,13 +978,20 @@ def pointwise_certificate(
 def _cluster_tail(
     es: list[HermitianOperator], cluster_tol: float
 ) -> tuple[list[int], np.ndarray]:
-    """Indices of the largest op-norm cluster (latest on ties) and distances."""
+    """Indices of the largest op-norm cluster (latest on ties) and distances.
+
+    ``dist[i, j]`` is ``op_norm(es[i] - es[j])``, bit for bit.  The
+    differences are formed one row at a time, ``e_i - e_j`` for every
+    j > i as per-block stacks symmetrized as the operators are, and their
+    norms read through ``_norms``: no operator is built per pair, and only
+    one row of differences is held at once.
+    """
 
     k = len(es)
     dist = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            dist[i, j] = dist[j, i] = op_norm(es[i] - es[j])
+    stacks = _stacked(es)
+    for i in range(k - 1):
+        dist[i, i + 1 :] = dist[i + 1 :, i] = _norms([_sym(s[i] - s[i + 1 :]) for s in stacks])
     best: list[int] = []
     for i in range(k):
         members = [j for j in range(k) if dist[i, j] <= cluster_tol]
@@ -1292,6 +1316,10 @@ def type_infinity_check(
     ``||S_r(x)|| <= ||x|| ||S_r(1)|| <= ||x|| + 1e-9`` for every sample, so
     the rule is never looser than the sampled one.  Any other map is
     tested on the identity and every sample, ``||S_r(x)|| <= ||x|| + 1e-9``.
+    The norms are read as families through ``_norms``, with the bits
+    ``op_norm`` gives: the identity and the samples as one family, and
+    each tested input's S_1, ..., S_horizon as one family, so every
+    average up to the horizon is computed before any is compared.
     """
 
     if not _is_index(samples) or samples < 1:
@@ -1307,15 +1335,14 @@ def type_infinity_check(
             g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             blocks.append(g @ g.conj().T)
         drawn.append(HermitianOperator._exact(blocks))
-    one = algebra.identity()
+    inputs = (algebra.identity(), *drawn)
+    norms = _norms(_stacked(inputs))
+    tests = zip(inputs, norms + 1e-9)
     if T.pedigree is Pedigree.CONSTRUCTED_POSITIVE:
-        scale = max(1.0, max(op_norm(x) for x in drawn))
-        tests = [(one, 1.0 + 1e-9 / scale)]
-    else:
-        tests = [(x, op_norm(x) + 1e-9) for x in (one, *drawn)]
+        tests = [(inputs[0], 1.0 + 1e-9 / max(1.0, float(np.max(norms[1:]))))]
     for x, bound in tests:
         averages = islice(_averages(T.apply, x, horizon), 1, None)
-        if any(op_norm(s_r) > bound for s_r in averages):
+        if np.any(_norms(_stacked(averages)) > bound):
             return False
     return True
 

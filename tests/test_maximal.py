@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from ergocert.linalg import (
     BlockMatrix,
     HermitianOperator,
     compress,
+    max_eigenvalue,
     min_eigenvalue,
     op_norm,
     positive_part,
@@ -52,6 +54,9 @@ from ergocert.maximal import (
     ProjectionPath,
     SolveOptions,
     _ascend_block,
+    _cluster_tail,
+    _extremes,
+    _norms,
     _payoff_stacks,
     _point_objective,
     _slices,
@@ -944,6 +949,115 @@ def test_pointwise_certificate_informational_sharper_mass():
         _, state, a, ext = _certified_instance(seed, trace=4.0)
         cert = pointwise_certificate(a, 0.8, 4, state, ext)
         assert cert.info["mass_1_over_lambda"] >= -1e-7 * max(1.0, a.trace_norm())
+
+
+# -- family spectra ------------------------------------------------------------------
+
+
+def _bits(values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+def _assert_family_reads_each_operator(ops):
+    # the kernel's lows, tops and norms are min_eigenvalue, max_eigenvalue and
+    # op_norm of each operator alone, bit for bit
+    stacks = _stacked(ops)
+    lows, tops = _extremes([stack[part] for part in _slices(stack)] for stack in stacks)
+    assert lows.tobytes() == _bits([min_eigenvalue(op) for op in ops])
+    assert tops.tobytes() == _bits([max_eigenvalue(op) for op in ops])
+    assert _norms(stacks).tobytes() == _bits([op_norm(op) for op in ops])
+
+
+def test_family_extremes_match_each_operator_alone():
+    rng = np.random.default_rng(17)
+    for dims in ((2, 1), (3, 2, 1), (1, 1, 1), (4,)):
+        for scale in (1e-3, 1.0, 1e3):
+            _assert_family_reads_each_operator(
+                [random_hermitian(rng, dims, scale) for _ in range(7)]
+            )
+    # a (2, 1) family whose extremes tie at a signed zero across the blocks:
+    # the first block wins, where a reduction over the blocks may not
+    tied = [
+        ((0.0, 1.0), (-0.0,)),
+        ((-0.0, 1.0), (0.0,)),
+        ((-1.0, -0.0), (0.0,)),
+        ((-1.0, 0.0), (-0.0,)),
+        ((0.0, 0.0), (-0.0,)),
+        ((-0.0, -0.0), (0.0,)),
+    ]
+    ops = [HermitianOperator([np.diag(b0), np.diag(b1)]) for b0, b1 in tied]
+    _assert_family_reads_each_operator(ops)
+    lows, tops = _extremes([stack] for stack in _stacked(ops))
+    assert [repr(float(x)) for x in lows[:2]] == ["0.0", "-0.0"]
+    assert [repr(float(x)) for x in tops[2:4]] == ["-0.0", "0.0"]
+    # a stack long enough to span several slices in each block
+    ops = [random_hermitian(rng, (20, 3)) for _ in range(25)]
+    assert len(_slices(_stacked(ops)[0])) > 2
+    _assert_family_reads_each_operator(ops)
+
+
+def _rank_half_projections(rng, dims, k):
+    out = []
+    for _ in range(k):
+        blocks = []
+        for d in dims:
+            u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            blocks.append(u[:, : d // 2] @ u[:, : d // 2].conj().T)
+        out.append(HermitianOperator(blocks))
+    return out
+
+
+def test_cluster_distances_are_the_pairwise_op_norms():
+    rng = np.random.default_rng(5)
+    for dims in ((2, 1), (3, 2), (24,)):
+        es = _rank_half_projections(rng, dims, 6)
+        # repeats give exact zero distances, a near copy a tiny one
+        es += [es[0], es[2], es[2] + HermitianOperator._exact([1e-9 * b for b in es[1].blocks])]
+        members, dist = _cluster_tail(es, 1e-6)
+        for i in range(len(es)):
+            want = [op_norm(es[i] - es[j]) if j != i else 0.0 for j in range(len(es))]
+            assert dist[i].tobytes() == _bits(want)
+        assert members == [2, 7, 8]
+
+
+def test_family_reads_take_no_operator_norm_or_pair_operator(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a family is read one operator at a time")
+
+    built = []
+    real_as_blocks = linalg._as_blocks
+
+    def counting(blocks, hermitian):
+        built.append(hermitian)
+        return real_as_blocks(blocks, hermitian)
+
+    es = _rank_half_projections(np.random.default_rng(8), (3, 2), 6)
+    algebra = Algebra((2, 3))
+    models = [
+        PositiveMapModel.identity(algebra),
+        random_certified_map(12, algebra, random_state(3, algebra)),
+    ]
+    monkeypatch.setattr(maximal, "op_norm", forbidden)
+    monkeypatch.setattr(linalg, "_as_blocks", counting)
+    _cluster_tail(es, 1e-6)
+    assert built == []
+    for model in models:
+        assert type_infinity_check(model, samples=4, horizon=5)
+
+
+def test_cluster_transient_stays_one_row_of_differences():
+    # all 105 pair differences of 15 projections of a (24,) algebra at once
+    # take about 4 MiB; one row of differences at a time stays far below 2 MiB
+    es = _rank_half_projections(np.random.default_rng(24), (24,), 15)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _cluster_tail(es, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024
 
 
 # -- uniform projection -----------------------------------------------------------
