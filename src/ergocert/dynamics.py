@@ -45,6 +45,7 @@ from .errors import (
 from .linalg import (
     BlockMatrix,
     HermitianOperator,
+    _eigvalsh,
     _result,
     _sym,
     apply_spectral,
@@ -701,10 +702,10 @@ def random_certified_map(
         push = sum(w * (v @ rho_full @ v.conj().T) for w, v in zip(weights, ops))
         sandwiched = neg_half_full @ push @ neg_half_full
         bound = max(
-            float(np.linalg.eigvalsh(_sym(gram))[-1]),
-            float(np.linalg.eigvalsh(_sym(sandwiched))[-1]),
+            float(_eigvalsh(_sym(gram))[-1]),
+            float(_eigvalsh(_sym(sandwiched))[-1]),
         )
-        if bound <= 0.0 or not np.isfinite(bound):
+        if bound <= 0.0:
             continue
         s = math.sqrt(0.99 / bound)
         model = PositiveMapModel.from_kraus(

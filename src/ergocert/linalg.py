@@ -3,9 +3,19 @@
 Every operator in this package lives on a direct sum of square complex
 blocks.  A ``BlockMatrix`` is the raw container; a ``HermitianOperator``
 additionally guarantees self-adjointness (inputs are defect-checked, then
-symmetrized).  Spectral routines work blockwise through ``numpy.linalg``
-and feed a small functional calculus: ``apply_spectral``, positive parts,
-and spectral projections with an explicit tolerance policy at cut points.
+symmetrized).  Spectral routines work blockwise and feed a small functional
+calculus: ``apply_spectral``, positive parts, and spectral projections with
+an explicit tolerance policy at cut points.
+
+Every eigendecomposition in the package goes through one kernel, ``_eigh``
+and ``_eigvalsh``.  It calls the LAPACK gufuncs that ``numpy.linalg.eigh``
+and ``eigvalsh`` run for complex input (the private
+``numpy.linalg._umath_linalg.eigh_lo`` and ``eigvalsh_lo``, signatures
+``"D->dD"`` and ``"D->d"``) without numpy's Python wrapper, so it gives the
+same bits, for one matrix or per matrix of a ``(k, d, d)`` stack, and it
+raises ``NonConvergence`` where an eigenvalue comes out non-finite.
+``eigh_stack`` adds the reconstruction check on top; the solver's inner
+loops read the kernel directly.
 
 ``_result`` makes every operation's result by one rule: a
 ``HermitianOperator``, each block symmetrized by ``_sym`` (the package's one
@@ -41,6 +51,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     AmbiguousSpectralCut,
@@ -55,6 +66,28 @@ HERMITICITY_RTOL = 1e-12
 RECONSTRUCTION_RTOL = 1e-10
 PSD_TOL = 1e-9
 KERNEL_EPS = 1e-8
+
+
+# the gufuncs behind numpy.linalg.eigh and eigvalsh (lower triangle, as numpy's default)
+_EIGH_LO = _umath_linalg.eigh_lo
+_EIGVALSH_LO = _umath_linalg.eigvalsh_lo
+
+
+def _eigh(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # ascending eigenvalues and unitary columns of a complex hermitian matrix or
+    # (k, d, d) stack; unchecked beyond finiteness, so the bits are numpy's
+    w, u = _EIGH_LO(stack, signature="D->dD")
+    if not np.isfinite(w).all():
+        raise NonConvergence("eigensolver failed: non-finite eigenvalues")
+    return w, u
+
+
+def _eigvalsh(stack: np.ndarray) -> np.ndarray:
+    # the ascending eigenvalues of _eigh, without the vectors
+    w = _EIGVALSH_LO(stack, signature="D->d")
+    if not np.isfinite(w).all():
+        raise NonConvergence("eigensolver failed: non-finite eigenvalues")
+    return w
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
@@ -237,16 +270,13 @@ def eigh_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Checked eigendecomposition of a ``(k, d, d)`` stack of hermitian matrices.
 
     Returns ascending eigenvalues ``(k, d)`` and unitary columns
-    ``(k, d, d)``, one batched solver call for the whole stack.  Raises
+    ``(k, d, d)``, one batched ``_eigh`` call for the whole stack.  Raises
     ``NonConvergence`` if the eigensolver fails or any ``U diag(w) U*``
     misses its matrix by more than ``1e-10 * max(1, max|w|)`` in the
     Frobenius norm, ``w`` being that matrix's eigenvalues.
     """
 
-    try:
-        w, u = np.linalg.eigh(stack)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"eigensolver failed: {exc}") from exc
+    w, u = _eigh(stack)
     recon = (u * w[:, None, :]) @ u.conj().swapaxes(-1, -2)
     recon -= stack
     # Frobenius norm per matrix, without a squared copy of the stack

@@ -54,6 +54,8 @@ from .linalg import (
     KERNEL_EPS,
     PSD_TOL,
     HermitianOperator,
+    _eigh,
+    _eigvalsh,
     _sym,
     apply_spectral,
     compress,
@@ -241,7 +243,7 @@ class LimitDiagnostics:
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     # noise floor only; no inversion happens anywhere in the ascent
-    w, u = np.linalg.eigh(_sym(m))
+    w, u = _eigh(_sym(m))
     w = np.clip(w, 0.0, None)
     if w.size and w[-1] > 0.0:
         w[w < 1e-14 * w[-1]] = 0.0
@@ -253,17 +255,21 @@ def _pair(b: np.ndarray, x: np.ndarray) -> float:
     return float(np.vdot(b, x).real)
 
 
+def _cut_gram(chalf: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray | None:
+    # v v* with v = chalf @ (the columns of u whose eigenvalue in w is > 0), None
+    # when there are none; w is ascending, so w[-1] decides
+    if not w[-1] > 0.0:
+        return None
+    v = chalf @ u[:, w > 0.0]
+    return v @ v.conj().T
+
+
 def _block_update(b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Exact argmax of Tr(b x) over 0 <= x <= c (c positive semidefinite)."""
 
     chalf = _psd_sqrt(c)
-    m = _sym(chalf @ b @ chalf)
-    w, u = np.linalg.eigh(m)
-    mask = w > 0.0
-    if not mask.any():
-        return np.zeros_like(b)
-    v = chalf @ u[:, mask]
-    return v @ v.conj().T
+    x = _cut_gram(chalf, *_eigh(_sym(chalf @ b @ chalf)))
+    return np.zeros_like(b) if x is None else x
 
 
 def _swap_pass(
@@ -275,30 +281,37 @@ def _swap_pass(
     projection of X^{1/2} (B_s - B_r) X^{1/2} and X = x_r, keeps
     x_r + x_s fixed, keeps both coordinates positive (Gram forms), and
     raises the objective by the sum of the cut's positive eigenvalues.
+
+    For each r the candidates s, those whose screen entry passes
+    ``SWAP_SCREEN_TOL``, are taken in order and decomposed in stacked
+    ``_eigh`` calls of at most one ``_slices`` part each.  A transfer
+    changes x_r, so the candidates after it are decomposed again with the
+    new x_r; each candidate thus sees the bits a one-at-a-time pass gives it.
     """
 
     changed = False
-    m = len(bs)
-    for r in range(m):
+    step = _step(bs)
+    for r in range(len(bs)):
+        todo = np.flatnonzero(screen[r] > SWAP_SCREEN_TOL).tolist()
         xhalf = None
-        for s in range(m):
-            if s == r or screen[r, s] <= SWAP_SCREEN_TOL:
-                continue
-            if float(xs[r].trace().real) <= SWAP_SCREEN_TOL:
-                break
+        while todo and float(xs[r].trace().real) > SWAP_SCREEN_TOL:
+            batch = todo[:step]
             if xhalf is None:
                 xhalf = _psd_sqrt(xs[r])
-            mm = _sym(xhalf @ (bs[s] - bs[r]) @ xhalf)
-            w, u = np.linalg.eigh(mm)
-            mask = w > 1e-15 * max(1.0, float(abs(w[-1])))
-            if not mask.any():
-                continue
-            vpos = xhalf @ u[:, mask]
-            vneg = xhalf @ u[:, ~mask]
-            xs[r] = vneg @ vneg.conj().T
-            xs[s] = _sym(xs[s] + vpos @ vpos.conj().T)
-            xhalf = None
-            changed = True
+            ws, us = _eigh(_sym(xhalf @ (bs[batch] - bs[r]) @ xhalf))
+            todo = todo[step:]
+            for i, (s, w, u) in enumerate(zip(batch, ws, us)):
+                mask = w > 1e-15 * max(1.0, float(abs(w[-1])))
+                if not mask.any():
+                    continue
+                vpos = xhalf @ u[:, mask]
+                vneg = xhalf @ u[:, ~mask]
+                xs[r] = vneg @ vneg.conj().T
+                xs[s] = _sym(xs[s] + vpos @ vpos.conj().T)
+                xhalf = None
+                changed = True
+                todo = batch[i + 1 :] + todo
+                break
     return changed
 
 
@@ -306,20 +319,23 @@ def _grow_screen(stack: np.ndarray, old: np.ndarray) -> np.ndarray:
     """The swap screen of ``stack`` from the screen ``old`` of its first payoffs.
 
     screen[r, s] is the largest eigenvalue of B_s - B_r (0 on the
-    diagonal).  Only the entries of the new rows and columns are computed,
-    in batched ``eigvalsh`` calls per row.
+    diagonal).  Only the entries of the new rows and columns are computed:
+    all of them together, in ``_eigvalsh`` calls of one ``_slices`` part
+    each.
     """
 
     k, m = len(old), len(stack)
     screen = np.zeros((m, m))
     screen[:k, :k] = old
-    for r in range(m):
-        # an old row lacks the new columns only; a new row lacks every column
-        first = k if r < k else 0
-        row, rest = screen[r, first:], stack[first:]
-        for part in _slices(rest):
-            row[part] = np.linalg.eigvalsh(_sym(rest[part] - stack[r]))[:, -1]
-        screen[r, r] = 0.0
+    # an old row lacks the new columns only; a new row lacks every column
+    new = np.ones((m, m), dtype=bool)
+    new[:k, :k] = False
+    np.fill_diagonal(new, False)
+    rows, cols = np.nonzero(new)
+    step = _step(stack)
+    for i in range(0, len(rows), step):
+        r, s = rows[i : i + step], cols[i : i + step]
+        screen[r, s] = _eigvalsh(_sym(stack[s] - stack[r]))[:, -1]
     return screen
 
 
@@ -339,12 +355,23 @@ def _ascend_block(
     is the block's ``(m, d, d)`` payoff stack and ``screen`` its swap
     screen (``PayoffLayout.screen``).  Swaps run when there are at least
     two coordinates.
+
+    A coordinate that is exactly zero has the cap c = 1 - sum_r x_r, the
+    same for every zero coordinate while the sum is unchanged.  So the
+    zero coordinates not yet visited in a sweep are screened together: one
+    ``_psd_sqrt(c)`` and one stacked ``_eigh`` of their ``c^{1/2} B_r c^{1/2}``,
+    at most one ``_slices`` part of them at a time.  One whose cut has no
+    eigenvalue above 0 stays zero, as its block update would leave it; one
+    that moves is updated from its row of the stack.  Each gets the bits
+    its own block update gives it, and any change to the sum drops the
+    screen.
     """
 
     m = len(bs)
     d = bs[0].shape[0]
     eye = np.eye(d, dtype=np.complex128)
     swaps = m > 1
+    step = _step(bs)
     # the objective feeds only the TOL_OBJ stop, which a polish does not take
     obj = None if to_fixed_point else sum(_pair(b, x) for b, x in zip(bs, xs))
     sweeps = 0
@@ -352,13 +379,26 @@ def _ascend_block(
         sweeps += 1
         changed = False
         total = sum(xs)
+        zero = [not x.any() for x in xs]
+        # zero coordinate -> (c^{1/2}, eigenvalues, vectors) of its cut, while total holds
+        screened = {}
         for r in reversed(range(m)):
-            c = eye - (total - xs[r])
-            xnew = _block_update(bs[r], c)
+            if not zero[r]:
+                xnew = _block_update(bs[r], eye - (total - xs[r]))
+            else:
+                if r not in screened:
+                    rows = [s for s in reversed(range(r + 1)) if zero[s]][:step]
+                    chalf = _psd_sqrt(eye - total)
+                    ws, us = _eigh(_sym(chalf @ bs[rows] @ chalf))
+                    screened = {s: (chalf, w, u) for s, w, u in zip(rows, ws, us)}
+                xnew = _cut_gram(*screened[r])
+                if xnew is None:
+                    continue
             if float(np.max(np.abs(xnew - xs[r]))) > 1e-14:
                 total = total + (xnew - xs[r])
                 xs[r] = xnew
                 changed = True
+                screened = {}
         if swaps:
             if _swap_pass(bs, xs, screen):
                 changed = True
@@ -406,7 +446,8 @@ class PayoffLayout:
     """The payoffs B_0, ..., B_{m-1} of one problem, laid out for the solver.
 
     Per algebra block it holds the ``(m, d, d)`` stack of the payoffs and
-    the swap screen; per payoff, the least and largest eigenvalue and the
+    the swap screen; per payoff, the least and largest eigenvalue (ties
+    between blocks going to the first, as in ``_extremes``) and the
     positive mass ``Tr (B_r)_+``, the sum of the positive eigenvalues, over
     all blocks.  The stacks are the one copy of the payoffs kept: the
     constructor and ``extend`` take new payoffs as per-block ``(k, d, d)``
@@ -445,8 +486,9 @@ class PayoffLayout:
         if not len(self):
             self._screens = [np.zeros((0, 0)) for _ in fresh]
         self.stacks = _appended(self.stacks, fresh)
-        self.lows = np.concatenate((self.lows, np.min(lows, axis=0)))
-        self.tops = np.concatenate((self.tops, np.max(tops, axis=0)))
+        low, top = _first_block_wins(zip(lows, tops))
+        self.lows = np.concatenate((self.lows, low))
+        self.tops = np.concatenate((self.tops, top))
         self.masses = np.concatenate((self.masses, sum(masses)))
 
     def screen(self, c: int) -> np.ndarray:
@@ -595,8 +637,13 @@ def _slices(stack: np.ndarray) -> list[slice]:
     batched call near that size without costing the small case anything.
     """
 
-    step = max(1, STACK_SLICE_BYTES // stack[0].nbytes)
+    step = _step(stack)
     return [slice(i, i + step) for i in range(0, len(stack), step)]
+
+
+def _step(stack: np.ndarray) -> int:
+    # the number of the stack's matrices in one _slices part
+    return max(1, STACK_SLICE_BYTES // stack[0].nbytes)
 
 
 def _payoff_summary(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -618,13 +665,20 @@ def _extremes(families) -> tuple[np.ndarray, np.ndarray]:
     into operator norms.
     """
 
-    # eigenvalues are finite (eigh_stack raises otherwise), so the first
-    # block replaces the infinities
+    return _first_block_wins(
+        np.concatenate([eigh_stack(part)[0][:, [0, -1]] for part in parts]).T
+        for parts in families
+    )
+
+
+def _first_block_wins(pairs) -> tuple[np.ndarray, np.ndarray]:
+    # the least of the lows and the largest of the tops of finite (low, top)
+    # arrays given per block, the first block winning ties; the first block
+    # replaces the infinities
     lows, tops = np.inf, -np.inf
-    for parts in families:
-        w = np.concatenate([eigh_stack(part)[0][:, [0, -1]] for part in parts])
-        lows = np.where(w[:, 0] < lows, w[:, 0], lows)
-        tops = np.where(w[:, 1] > tops, w[:, 1], tops)
+    for low, top in pairs:
+        lows = np.where(low < lows, low, lows)
+        tops = np.where(top > tops, top, tops)
     return lows, tops
 
 

@@ -1,10 +1,13 @@
 """Command line exit codes, report files, and byte determinism."""
 
+import numpy as np
 import pytest
 
-from ergocert import cli
+from ergocert import cli, linalg, maximal
 from ergocert.cli import main
+from ergocert.errors import NonConvergence
 from ergocert.scenario import dumps, loads
+from ergocert.suite import run_suite
 
 
 def write_scenario(tmp_path, name="sc.json", **over):
@@ -133,6 +136,86 @@ def test_verify_tiny_tolerance_exits_one(tmp_path):
     )
     assert main(["verify", sc, "--out", str(tmp_path / "ok.json")]) == 0
     assert main(["verify", sc, "--tol", "1e-30", "--out", str(tmp_path / "no.json")]) == 1
+
+
+def _ascending_scenario(tmp_path, name="sc.json"):
+    # a Kraus scenario whose solves reach the ascent and its swap screen
+    return write_scenario(
+        tmp_path,
+        name,
+        state=[[[0.7, 0.0], [0.0, 0.3]]],
+        map={
+            "kind": "kraus",
+            "ops": [[[0.6, 0.0], [0.3, 0.2]], [[0.1, 0.0], [0.2, 0.5]]],
+        },
+        input={"kind": "random", "seed": 5, "trace": 3.0},
+        n_max=4,
+        **{"lambda": 1.0},
+    )
+
+
+@pytest.mark.parametrize(
+    "gufunc, caller", [("_EIGH_LO", "_ascend_block"), ("_EIGVALSH_LO", "_grow_screen")]
+)
+def test_an_eigensolver_failure_in_the_solver_exits_three(
+    tmp_path, capsys, recwarn, monkeypatch, gufunc, caller
+):
+    # once the ascent (or the swap screen's growth) starts, the kernel's gufunc
+    # returns NaN, as LAPACK does when it fails to converge: the run ends in a
+    # typed breakdown raised there, not a traceback, and no NaN reaches
+    # arithmetic that would warn
+    sc = _ascending_scenario(tmp_path)
+    real, real_caller = getattr(linalg, gufunc), getattr(maximal, caller)
+    failing, raised = [], []
+
+    def nan_gufunc(a, signature):
+        out = real(a, signature=signature)
+        if not failing:
+            return out
+        if isinstance(out, tuple):
+            return tuple(np.full_like(x, np.nan) for x in out)
+        return np.full_like(out, np.nan)
+
+    def failing_caller(*args):
+        failing.append(1)
+        try:
+            return real_caller(*args)
+        except NonConvergence:
+            raised.append(1)
+            raise
+
+    monkeypatch.setattr(linalg, gufunc, nan_gufunc)
+    monkeypatch.setattr(maximal, caller, failing_caller)
+    assert main(["verify", sc, "--out", str(tmp_path / "r.json")]) == 3
+    assert raised
+    assert capsys.readouterr().err.startswith("NonConvergence: eigensolver failed")
+    assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
+
+
+def test_reports_need_no_numpy_eigensolver_but_the_kernel(tmp_path, monkeypatch):
+    # every eigendecomposition goes through linalg's kernel: with numpy's
+    # eigh and eigvalsh replaced by raisers, reports keep their bytes
+    sc = _ascending_scenario(tmp_path)
+    assert main(["verify", sc, "--out", str(tmp_path / "before.json")]) == 0
+    suite = dumps(run_suite(0, 3))
+
+    def raiser(*args, **kwargs):
+        raise AssertionError("an eigensolver call outside linalg's kernel")
+
+    calls = []
+    real = linalg._EIGH_LO
+
+    def counting(a, signature):
+        calls.append(1)
+        return real(a, signature=signature)
+
+    monkeypatch.setattr(np.linalg, "eigh", raiser)
+    monkeypatch.setattr(np.linalg, "eigvalsh", raiser)
+    monkeypatch.setattr(linalg, "_EIGH_LO", counting)
+    assert main(["verify", sc, "--out", str(tmp_path / "after.json")]) == 0
+    assert dumps(run_suite(0, 3)) == suite
+    assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
+    assert calls
 
 
 def test_verify_rejects_nonpositive_tolerance(tmp_path, capsys, monkeypatch):

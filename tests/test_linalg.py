@@ -20,6 +20,7 @@ from ergocert.errors import (
     InvalidExponent,
     NonConvergence,
 )
+from ergocert import linalg
 from ergocert.linalg import (
     BlockMatrix,
     HermitianOperator,
@@ -218,8 +219,6 @@ def test_an_operator_does_not_alias_its_callers_arrays(make):
 def test_exact_symmetrizes_complex_blocks_without_copying_them(monkeypatch):
     import types
 
-    from ergocert import linalg
-
     blocks = [random_complex(np.random.default_rng(3), d) for d in (2, 3)]
     copied, symmetrized = [], []
     spy = types.SimpleNamespace(**vars(np))
@@ -276,9 +275,49 @@ def test_eigh_ascending_and_unitary(seed, d):
     assert np.linalg.norm(u.conj().T @ u - np.eye(d), 2) <= 1e-10
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 16, 24])
+def test_kernel_gives_numpys_bits_per_matrix(d):
+    # the kernel runs numpy's own gufuncs: the bits of np.linalg.eigh and
+    # eigvalsh, for one matrix, for a stack, and for each matrix of a stack alone
+    rng = np.random.default_rng(d)
+    g = rng.standard_normal((7, d, d)) + 1j * rng.standard_normal((7, d, d))
+    stack = 0.5 * (g + g.conj().swapaxes(-1, -2))
+
+    def same(x, y):
+        return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+    for a in (stack[0], stack):
+        w, u = linalg._eigh(a)
+        ref_w, ref_u = np.linalg.eigh(a)
+        assert same(w, ref_w) and same(u, ref_u)
+        assert same(linalg._eigvalsh(a), np.linalg.eigvalsh(a))
+    w, u = linalg._eigh(stack)
+    vals = linalg._eigvalsh(stack)
+    for i, a in enumerate(stack):
+        ref_w, ref_u = np.linalg.eigh(a)
+        assert same(w[i], ref_w) and same(u[i], ref_u)
+        assert same(vals[i], np.linalg.eigvalsh(a))
+
+
+@pytest.mark.parametrize("kernel, gufunc", [("_eigh", "_EIGH_LO"), ("_eigvalsh", "_EIGVALSH_LO")])
+def test_kernel_raises_on_nonfinite_eigenvalues(monkeypatch, kernel, gufunc):
+    real = getattr(linalg, gufunc)
+
+    def one_nan(a, signature):
+        out = real(a, signature=signature)
+        w = out[0] if isinstance(out, tuple) else out
+        w[..., -1] = np.inf if a.ndim == 2 else np.nan
+        return out
+
+    monkeypatch.setattr(linalg, gufunc, one_nan)
+    for a in (np.eye(2, dtype=np.complex128), np.stack([np.eye(3, dtype=np.complex128)] * 4)):
+        with pytest.raises(NonConvergence):
+            getattr(linalg, kernel)(a)
+
+
 def test_eigh_reconstruction_guard_fires(monkeypatch):
     a = random_hermitian(np.random.default_rng(3), [3, 2])
-    monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh(1e-6))
+    monkeypatch.setattr(linalg, "_eigh", perturbed_eigh(1e-6))
     with pytest.raises(NonConvergence):
         eigh(a)
     assert a._spec is None
@@ -288,7 +327,7 @@ def test_eigh_guard_judges_each_block_at_its_own_scale(monkeypatch):
     # the unit block misses by ~1e-7, far above 1e-10 at its own scale but
     # inside the 1e-10 * 1e6 a check at the operator's scale would allow
     a = HermitianOperator([np.diag([1e6, 2.0]), np.diag([1.0, 0.5])])
-    monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh(1e-7, max_entry=10.0))
+    monkeypatch.setattr(linalg, "_eigh", perturbed_eigh(1e-7, max_entry=10.0))
     with pytest.raises(NonConvergence):
         eigh(a)
 
@@ -305,7 +344,7 @@ def test_eigh_reconstruction_check_survives_huge_entries():
 def test_eigh_guard_fires_at_huge_scale(monkeypatch):
     # off by ~1e-9 relative, ten times the 1e-10 the check allows
     a = HermitianOperator([1e200 * np.array([[2.0, 1.0], [1.0, 3.0]])])
-    monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh(1e-9))
+    monkeypatch.setattr(linalg, "_eigh", perturbed_eigh(1e-9))
     with pytest.raises(NonConvergence):
         eigh(a)
 

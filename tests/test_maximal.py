@@ -56,12 +56,14 @@ from ergocert.maximal import (
     _ascend_block,
     _cluster_tail,
     _extremes,
+    _grow_screen,
     _norms,
     _payoff_stacks,
     _point_objective,
     _slices,
     _stacked,
     _state_problem,
+    _swap_pass,
     commutative_oracle,
     diagonal_instance,
     dual_upper_bound,
@@ -83,8 +85,11 @@ from helpers import (
     count_dual_calls,
     perturbed_eigh,
     random_hermitian,
+    reference_ascend_block,
     reference_dual_upper_bound,
+    reference_grow_screen,
     reference_payoffs,
+    reference_swap_pass,
     reference_swap_screen,
     shift_point,
 )
@@ -309,10 +314,8 @@ def test_monotone_ascent_per_sweep():
     # budget k+1, so objectives along budgets must be nondecreasing
     rng = np.random.default_rng(64)
     d = 3
-    bs = []
-    for r in range(4):
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        bs.append(0.5 * (g + g.conj().T))
+    g = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
+    bs = 0.5 * (g + g.conj().swapaxes(-1, -2))
     values = []
     for budget in range(1, 9):
         xs = [np.zeros((d, d), dtype=np.complex128) for _ in bs]
@@ -320,6 +323,117 @@ def test_monotone_ascent_per_sweep():
         values.append(sum(float(np.vdot(b, x).real) for b, x in zip(bs, xs)))
     for lo, hi in zip(values, values[1:]):
         assert hi >= lo - 1e-12
+
+
+# -- the ascent on the eigensolver kernel, against the per-matrix ascent ------
+
+
+def _stacked_kernel_sizes(monkeypatch) -> list[int]:
+    # the stack size of every stacked _eigh call of the solver from now on
+    sizes = []
+    real = maximal._eigh
+
+    def recording(a):
+        if a.ndim == 3:
+            sizes.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(maximal, "_eigh", recording)
+    return sizes
+
+
+def _assert_same_ascent(bs, xs=None):
+    # the ascent and, after a TOL_OBJ stop, the polish, from zero coordinates
+    # or from xs: the same bytes, sweeps and stops as the per-matrix ascent
+    if xs is None:
+        xs = [np.zeros(bs.shape[1:], dtype=np.complex128)] * len(bs)
+    screen = reference_swap_screen(list(bs))
+    ref = list(xs)
+    for budget, to_fixed_point in ((200, False), (30, True)):
+        run = _ascend_block(bs, xs, budget, to_fixed_point, screen)
+        assert run == reference_ascend_block(bs, ref, budget, to_fixed_point, screen)
+        assert all(_same_bits(x, y) for x, y in zip(xs, ref))
+        if run[1] != "flat":
+            break
+    return xs
+
+
+def test_ascent_on_the_kernel_matches_the_per_matrix_ascent():
+    # corpus payoffs on (2, 1), (3,) and (16,) blocks, orders solved in turn
+    # as the projection path does: each order starts from the last order's
+    # point and one exactly zero coordinate
+    cases = ((5, (2, 1), 3.0, 0.5, 14), (6, (3,), 3.0, 1.0, 10), (8, (16,), 10.0, 0.5, 19))
+    for seed, dims, trace, lam, n in cases:
+        _, state, a, ext = _certified_instance(seed, dims=dims, trace=trace)
+        for bs in _state_problem(a, lam, n, state, ext):
+            zero = np.zeros(bs.shape[1:], dtype=np.complex128)
+            orders = range(n + 1) if bs.shape[1] < 16 else (0, 1, 2, n)
+            xs = []
+            for k in orders:
+                xs = _assert_same_ascent(bs[: k + 1], (xs + [zero] * (k + 1))[: k + 1])
+    # 20 coordinates of a 16-dim block from zero: the zero screen and the
+    # swap candidates take two slices
+    _, state, a, ext = _certified_instance(9, dims=(16,), trace=12.0)
+    (bs,) = _state_problem(a, 0.4, 19, state, ext)
+    assert bs.shape[0] > _slices(bs)[0].stop
+    _assert_same_ascent(bs)
+
+
+def test_payoffs_at_most_zero_leave_every_coordinate_zero():
+    # negative definite payoffs, the zero payoff and diag(0, -1), whose cut
+    # has the eigenvalue 0.0 exactly: no zero coordinate moves
+    rng = np.random.default_rng(19)
+    for d in (1, 2, 3, 16):
+        g = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
+        bs = -(g @ g.conj().swapaxes(-1, -2)) - np.eye(d)
+        bs[1] = 0.0
+        bs[3] = np.diag([0.0] + [-1.0] * (d - 1))
+        xs = _assert_same_ascent(bs)
+        assert not any(x.any() for x in xs)
+
+
+def test_a_zero_coordinate_that_moves_drops_the_zero_screen(monkeypatch):
+    # from zero, the first screen covers every coordinate; the last one moves,
+    # so the ones left are screened again under the new cap
+    rng = np.random.default_rng(23)
+    d, m = 3, 6
+    g = rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d))
+    bs = 0.5 * (g + g.conj().swapaxes(-1, -2)) + np.eye(d)
+    sizes = _stacked_kernel_sizes(monkeypatch)
+    xs = _assert_same_ascent(bs)
+    assert sizes[:2] == [m, m - 1]
+    assert any(x.any() for x in xs[:-1])
+
+
+def test_a_swap_mid_batch_redoes_the_candidates_after_it(monkeypatch):
+    # x_0 = 1/2: B_1 - B_0 is positive on one eigenvector only, so the first of
+    # the three candidates takes half of x_0, and the other two are decomposed
+    # again with the x_0 left
+    q, _ = np.linalg.qr(random_hermitian(np.random.default_rng(29), [2]).blocks[0])
+
+    def rot(*diag):
+        return q @ np.diag(np.asarray(diag, dtype=np.complex128)) @ q.conj().T
+
+    bs = np.stack([rot(0.0, 0.0), rot(1.0, -1.0), rot(-1.0, 1.0), rot(2.0, -2.0)])
+    xs = [rot(0.5, 0.5)] + [np.zeros((2, 2), dtype=np.complex128)] * 3
+    screen = reference_swap_screen(list(bs))
+    ref = list(xs)
+    sizes = _stacked_kernel_sizes(monkeypatch)
+    assert _swap_pass(bs, xs, screen) and reference_swap_pass(bs, ref, screen)
+    assert all(_same_bits(x, y) for x, y in zip(xs, ref))
+    assert sizes[:2] == [3, 2]
+
+
+def test_screen_growth_matches_the_per_row_growth():
+    # the new entries in slice-sized calls, whatever the old screen's size;
+    # 20 matrices of 16 dims span two slices
+    rng = np.random.default_rng(31)
+    for d, m in ((1, 9), (2, 12), (16, 20)):
+        g = rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d))
+        bs = 0.5 * (g + g.conj().swapaxes(-1, -2))
+        for k in (0, 1, m // 2, m - 1):
+            old = reference_swap_screen(list(bs[:k]))
+            assert _same_bits(_grow_screen(bs, old), reference_grow_screen(bs, old))
 
 
 def _readme_instance():
@@ -551,7 +665,7 @@ def test_path_lays_out_each_payoff_once(monkeypatch):
     monkeypatch.setattr(
         maximal, "eigh_stack", spy(stacked, maximal.eigh_stack, lambda x: [m.tobytes() for m in x])
     )
-    monkeypatch.setattr(np.linalg, "eigvalsh", spy(screened, np.linalg.eigvalsh, lambda x: x))
+    monkeypatch.setattr(maximal, "_eigvalsh", spy(screened, maximal._eigvalsh, lambda x: x))
     monkeypatch.setattr(
         linalg, "eigh", spy(decomposed, linalg.eigh, lambda A: [b.tobytes() for b in A.blocks])
     )
@@ -562,9 +676,10 @@ def test_path_lays_out_each_payoff_once(monkeypatch):
     blocks = [b.tobytes() for stack in payoffs.stacks for b in stack]
     assert [stacked.count(b) for b in blocks] == [1] * len(blocks)
     assert not set(blocks) & set(decomposed)
-    # the last order reaches the ascent, so its screen covers every payoff
+    # the last order reaches the ascent, so its screen covers every pair of
+    # payoffs; its diagonal is 0 and never computed
     assert np.any(payoffs.tops > 0.0)
-    assert len(screened) == len(state.algebra.signature) * (n + 1) ** 2
+    assert len(screened) == len(state.algebra.signature) * (n + 1) * n
 
 
 def _float_limit_instance():
@@ -712,7 +827,7 @@ def test_payoffs_near_the_float_limit_certify():
 def test_dual_reconstruction_guard_fires(monkeypatch):
     _, state, a, ext = _certified_instance(3)
     blocks = _state_payoffs(a, 1.0, 4, state, ext)
-    monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh(1e-6))
+    monkeypatch.setattr(linalg, "_eigh", perturbed_eigh(1e-6))
     with pytest.raises(NonConvergence):
         dual_upper_bound(blocks)
 
@@ -994,6 +1109,21 @@ def test_family_extremes_match_each_operator_alone():
     ops = [random_hermitian(rng, (20, 3)) for _ in range(25)]
     assert len(_slices(_stacked(ops)[0])) > 2
     _assert_family_reads_each_operator(ops)
+
+
+def test_layout_extremes_keep_the_first_blocks_signed_zero():
+    # the one payoff diag(-1, 0) + (-0): its largest eigenvalue ties at a signed
+    # zero across the blocks, and the layout takes it as max_eigenvalue does
+    payoff = HermitianOperator([np.diag([-1.0, 0.0]), np.diag([-0.0])])
+    layout = PayoffLayout(_stacked([payoff]))
+    assert repr(float(layout.tops[0])) == "0.0" == repr(max_eigenvalue(payoff))
+    assert repr(float(layout.lows[0])) == "-1.0"
+    # and on the tied family of the extremes test, row for row
+    tied = [((0.0, 1.0), (-0.0,)), ((-1.0, -0.0), (0.0,)), ((-1.0, 0.0), (-0.0,))]
+    ops = [HermitianOperator([np.diag(b0), np.diag(b1)]) for b0, b1 in tied]
+    layout = PayoffLayout(_stacked(ops))
+    assert [repr(float(x)) for x in layout.lows] == [repr(min_eigenvalue(op)) for op in ops]
+    assert [repr(float(x)) for x in layout.tops] == [repr(max_eigenvalue(op)) for op in ops]
 
 
 def _rank_half_projections(rng, dims, k):
