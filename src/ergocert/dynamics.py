@@ -17,8 +17,18 @@ with respect to a faithful state phi = Tr(rho .):
 
 ``extend_l1`` then realizes the induced map on L1 representatives by the
 symmetric embedding, a -> rho^{1/2} T(rho^{-1/2} a rho^{-1/2}) rho^{1/2},
-together with its trace adjoint acting back on the algebra.  Cesaro
-averages of the L1 action are computed by accumulating iterated powers.
+together with its trace adjoint acting back on the algebra.
+
+Every map acts on arrays through one private action,
+``PositiveMapModel._act``: per-block matrices, or per-block ``(k, d, d)``
+stacks of k inputs, go to their unsymmetrized image with the bits
+``apply`` gives each matrix alone (a Kraus map on the embedded full
+matrices, a superoperator as ``M @ vec`` per vector).  ``apply`` is one
+membership check and ``_result`` around it.  Cesaro averages are computed
+by accumulating iterated powers on those arrays (``_averages``), formed
+where the operators' rule forms results, so the averages of one input or
+of a stack of inputs build no operator per average or per application;
+``cesaro_reps`` makes operators of them only on the way out.
 """
 
 from __future__ import annotations
@@ -46,6 +56,7 @@ from .linalg import (
     BlockMatrix,
     HermitianOperator,
     _eigvalsh,
+    _form,
     _result,
     _sym,
     apply_spectral,
@@ -80,35 +91,26 @@ def _offsets(signature: tuple[int, ...]) -> list[int]:
     return offs
 
 
-def _to_full(x: BlockMatrix) -> np.ndarray:
-    n = sum(x.dims)
-    full = np.zeros((n, n), dtype=np.complex128)
-    k = 0
-    for b in x.blocks:
-        d = b.shape[0]
-        full[k : k + d, k : k + d] = b
-        k += d
+def _to_full(blocks: list[np.ndarray]) -> np.ndarray:
+    # the blocks, matrices or (..., d, d) stacks, on the diagonal of full matrices
+    dims = [b.shape[-1] for b in blocks]
+    full = np.zeros((*blocks[0].shape[:-2], sum(dims), sum(dims)), dtype=np.complex128)
+    for k, d, b in zip(_offsets(dims), dims, blocks):
+        full[..., k : k + d, k : k + d] = b
     return full
 
 
 def _pinch_full(signature: tuple[int, ...], full: np.ndarray) -> list[np.ndarray]:
-    blocks, k = [], 0
-    for d in signature:
-        blocks.append(full[k : k + d, k : k + d])
-        k += d
-    return blocks
+    return [full[..., k : k + d, k : k + d] for k, d in zip(_offsets(signature), signature)]
 
 
-def _vec(x: BlockMatrix) -> np.ndarray:
-    return np.concatenate([b.reshape(-1) for b in x.blocks])
+def _vec(blocks: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate([b.reshape(*b.shape[:-2], -1) for b in blocks], axis=-1)
 
 
 def _unvec(signature: tuple[int, ...], v: np.ndarray) -> list[np.ndarray]:
-    blocks, k = [], 0
-    for d in signature:
-        blocks.append(v[k : k + d * d].reshape(d, d))
-        k += d * d
-    return blocks
+    offsets = _offsets([d * d for d in signature])
+    return [v[..., k : k + d * d].reshape(*v.shape[:-1], d, d) for k, d in zip(offsets, signature)]
 
 
 def _transpose_permutation(signature: tuple[int, ...]) -> np.ndarray:
@@ -214,14 +216,19 @@ class PositiveMapModel:
 
     def apply(self, x: BlockMatrix) -> BlockMatrix:
         self.algebra.check_member(x)
+        return _result(type(x), self._act(x.blocks))
+
+    def _act(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
+        # the image, unsymmetrized and unchecked, of per-block matrices or of
+        # per-block (k, d, d) stacks, matrix by matrix with apply's bits
         if self.kind == "kraus":
-            full = _to_full(x)
+            full = _to_full(blocks)
             acc = np.zeros_like(full)
             for w, v in zip(self.kraus_weights, self.kraus_ops):
                 acc += w * (v.conj().T @ full @ v)
-            return _result(type(x), _pinch_full(self.algebra.signature, acc))
-        out = self.matrix @ _vec(x)
-        return _result(type(x), _unvec(self.algebra.signature, out))
+            return _pinch_full(self.algebra.signature, acc)
+        out = (self.matrix @ _vec(blocks)[..., None])[..., 0]
+        return _unvec(self.algebra.signature, out)
 
     def trace_adjoint(self) -> "PositiveMapModel":
         """Adjoint for the trace pairing Tr(T(x)* y) = Tr(x* T_adj(y))."""
@@ -240,16 +247,18 @@ class PositiveMapModel:
 
         if self.kind == "superop":
             return np.array(self.matrix)
-        return _superop_from_callable(self.algebra, self.apply)
+        return _matrix_of(self.algebra, self._act)
 
 
-def _superop_from_callable(algebra: Algebra, f) -> np.ndarray:
+def _matrix_of(algebra: Algebra, act) -> np.ndarray:
+    # the matrix of an array action (as _act) on concatenated block entries,
+    # one basis element at a time, so no more than one image is held at once
     c = algebra.coeff_dim
     out = np.zeros((c, c), dtype=np.complex128)
     for k in range(c):
         v = np.zeros(c, dtype=np.complex128)
         v[k] = 1.0
-        out[:, k] = _vec(f(_result(BlockMatrix, _unvec(algebra.signature, v))))
+        out[:, k] = _vec(act(_unvec(algebra.signature, v)))
     return out
 
 
@@ -399,15 +408,21 @@ class ExtendedMap:
     def lp_apply(self, x: BlockMatrix, p: float) -> BlockMatrix:
         """Action on Lp representatives through the d^{1/(2p)} embedding."""
 
+        self.base.algebra.check_member(x)
+        return _result(type(x), self._lp_act(x.blocks, p, isinstance(x, HermitianOperator)))
+
+    def _lp_act(self, blocks: list[np.ndarray], p: float, hermitian: bool) -> list[np.ndarray]:
+        # lp_apply on per-block arrays, left unformed as _act leaves its image;
+        # the steps between are formed (_form) where lp_apply's operators were
         pf = float(p)
         if math.isnan(pf) or pf < 1.0:
             raise InvalidExponent(f"Lp exponent must satisfy p >= 1, got {p}")
         if math.isinf(pf):
-            return self.base.apply(x)
-        outer = self.state.power(1.0 / (2.0 * pf))
-        inner = self.state.power(-1.0 / (2.0 * pf))
-        mid = self.base.apply(_result(type(x), (inner @ x @ inner).blocks))
-        return _result(type(x), (outer @ mid @ outer).blocks)
+            return self.base._act(blocks)
+        outer = self.state.power(1.0 / (2.0 * pf)).blocks
+        inner = self.state.power(-1.0 / (2.0 * pf)).blocks
+        mid = self.base._act([_form(i @ b @ i, hermitian) for i, b in zip(inner, blocks)])
+        return [o @ _form(m, hermitian) @ o for o, m in zip(outer, mid)]
 
 
 def extend_l1(
@@ -423,26 +438,23 @@ def extend_l1(
     report = check_conditions(T, state, samples=samples, tol=tol)
     _require_conditions(report)
 
-    half_full = _to_full(state.power(0.5))
-    neg_half_full = _to_full(state.power(-0.5))
+    half = state.power(0.5).blocks
+    neg_half = state.power(-0.5).blocks
     if T.kind == "kraus":
         # rho^{1/2} (V* rho^{-1/2} a rho^{-1/2} V) rho^{1/2} = U* a U
+        half_full, neg_half_full = _to_full(half), _to_full(neg_half)
         ops = [neg_half_full @ v @ half_full for v in T.kraus_ops]
         l1_action = PositiveMapModel.from_kraus(
             T.algebra, ops, list(T.kraus_weights), T.pedigree
         )
     else:
-        half = state.power(0.5)
-        neg_half = state.power(-0.5)
 
-        def f(x: BlockMatrix) -> BlockMatrix:
-            return half @ T.apply(neg_half @ x @ neg_half) @ half
+        def act(blocks: list[np.ndarray]) -> list[np.ndarray]:
+            mid = T._act([g @ b @ g for g, b in zip(neg_half, blocks)])
+            return [h @ y @ h for h, y in zip(half, mid)]
 
         l1_action = PositiveMapModel(
-            T.algebra,
-            "superop",
-            T.pedigree,
-            matrix=_superop_from_callable(T.algebra, f),
+            T.algebra, "superop", T.pedigree, matrix=_matrix_of(T.algebra, act)
         )
     return ExtendedMap(
         base=T,
@@ -460,27 +472,42 @@ def adjoint_map(ext: ExtendedMap) -> PositiveMapModel:
 
 
 def cesaro_reps(model: PositiveMapModel, rep: BlockMatrix, n: int) -> list[BlockMatrix]:
-    """Raw average sequence under iterated applications of a map model."""
+    """Raw average sequence under iterated applications of a map model.
+
+    ``rep`` is checked a member once; the recursion runs on its blocks
+    (``_averages``), and each average becomes an operator of ``rep``'s
+    class only on the way out.  ``_result`` forms the average's blocks
+    again, which gives their bits back unless an entry is below 2**-1021.
+    """
 
     if n < 0:
         raise InputError(f"horizon must be >= 0, got {n}")
     model.algebra.check_member(rep)
-    return list(_averages(model.apply, rep, n))
+    hermitian = isinstance(rep, HermitianOperator)
+    return [_result(type(rep), s) for s in _averages(model._act, rep.blocks, hermitian, n)]
 
 
-def _averages(step, x: BlockMatrix, n: int | None):
-    """Yield S_0(x), ..., S_n(x) with S_r = (1/(r+1)) sum_{k<=r} step^k(x).
+def _averages(act, blocks: list[np.ndarray], hermitian: bool, n: int | None):
+    """Yield S_0(x), ..., S_n(x) with S_r = (1/(r+1)) sum_{k<=r} act^k(x).
 
-    With ``n`` None the sequence does not end.
+    x is given per algebra block, as matrices or as ``(k, d, d)`` stacks of
+    k inputs averaged at once, and each S_r comes out the same way; S_0 is
+    ``blocks`` itself.  ``act`` maps such blocks to their unsymmetrized
+    image (``PositiveMapModel._act``).  Each application, each sum and
+    each scaling is formed by ``_form``, where the operators' ``_result``
+    formed it: checked finite (``InputError``, as for an operator's
+    blocks), then symmetrized by ``_sym`` for a hermitian x and left
+    unsymmetrized for any other, so every average yielded is finite.  No
+    operator is built and no membership is checked here; callers check x
+    once.  With ``n`` None the sequence does not end.
     """
 
-    power = x
-    acc = x
-    yield x
+    power = acc = blocks
+    yield blocks
     for r in count(1) if n is None else range(1, n + 1):
-        power = step(power)
-        acc = acc + power
-        yield (1.0 / (r + 1)) * acc
+        power = [_form(b, hermitian) for b in act(power)]
+        acc = [_form(s + b, hermitian) for s, b in zip(acc, power)]
+        yield [_form((1.0 / (r + 1)) * s, hermitian) for s in acc]
 
 
 def cesaro_sequence(ext: ExtendedMap, a: LOneElement, n: int) -> list[LOneElement]:
@@ -673,8 +700,8 @@ def example_cond_expectation(
         return PositiveMapModel.from_kraus(algebra, projections)
 
     rho_n = HermitianOperator._exact(_partition_pinch(sig, groups, state.rho))
-    rho_n_inv_half = _to_full(apply_spectral(rho_n, lambda w: w ** (-0.5)))
-    rho_half = _to_full(state.power(0.5))
+    rho_n_inv_half = _to_full(apply_spectral(rho_n, lambda w: w ** (-0.5)).blocks)
+    rho_half = _to_full(state.power(0.5).blocks)
     ops = [rho_half @ p @ rho_n_inv_half for p in projections]
     return PositiveMapModel.from_kraus(algebra, ops)
 
@@ -689,8 +716,8 @@ def random_certified_map(
 
     rng = np.random.default_rng(seed)
     n = algebra.total_dim
-    rho_full = _to_full(state.rho)
-    neg_half_full = _to_full(state.power(-0.5))
+    rho_full = _to_full(state.rho.blocks)
+    neg_half_full = _to_full(state.power(-0.5).blocks)
     for _ in range(max_attempts):
         k = int(rng.integers(2, 4))
         ops = [

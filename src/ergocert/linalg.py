@@ -97,17 +97,22 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return h + h.conj().swapaxes(-1, -2)
 
 
+def _form(arr: np.ndarray, hermitian: bool) -> np.ndarray:
+    # a result's block, or a stack of them: checked finite, then symmetrized by
+    # _sym when hermitian, else made C-ordered
+    if not np.isfinite(arr).all():
+        raise InputError("block entries must be finite")
+    return _sym(arr) if hermitian else np.ascontiguousarray(arr)
+
+
 def _as_blocks(blocks: Iterable[np.ndarray], hermitian: bool) -> tuple[np.ndarray, ...]:
-    # checked square and finite, then symmetrized by _sym when hermitian,
-    # else made C-ordered
+    # checked square, then formed by _form
     out = []
     for b in blocks:
         arr = np.asarray(b, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise InputError(f"blocks must be square matrices, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise InputError("block entries must be finite")
-        out.append(_sym(arr) if hermitian else np.ascontiguousarray(arr))
+        out.append(_form(arr, hermitian))
     if not out:
         raise InputError("at least one block is required")
     return tuple(out)

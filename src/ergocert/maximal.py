@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice
 
 import numpy as np
@@ -41,7 +41,6 @@ from .dynamics import (
     _condition_report,
     _is_index,
     _require_conditions,
-    cesaro_reps,
 )
 from .errors import (
     InputError,
@@ -426,11 +425,6 @@ def _stacked(ops) -> list[np.ndarray]:
     return [np.stack(blocks) for blocks in zip(*(op.blocks for op in ops))]
 
 
-def _appended(stacks: list[np.ndarray], fresh: list[np.ndarray]) -> list[np.ndarray]:
-    # per block, the matrices of ``fresh`` after those of ``stacks`` (none yet: [])
-    return [np.concatenate(pair) for pair in zip(stacks, fresh)] if stacks else fresh
-
-
 def _point_objective(stacks, xs) -> float:
     # g = sum_r Tr(B_r x_r) from per-block payoffs stacks[c][r] and points
     # xs[c][r], summed over r outside and over blocks inside
@@ -485,7 +479,8 @@ class PayoffLayout:
         lows, tops, masses = zip(*(_payoff_summary(stack) for stack in fresh))
         if not len(self):
             self._screens = [np.zeros((0, 0)) for _ in fresh]
-        self.stacks = _appended(self.stacks, fresh)
+        # per block, the fresh matrices after those laid out; none yet: fresh itself
+        self.stacks = [np.concatenate(pair) for pair in zip(self.stacks, fresh)] or fresh
         low, top = _first_block_wins(zip(lows, tops))
         self.lows = np.concatenate((self.lows, low))
         self.tops = np.concatenate((self.tops, top))
@@ -573,7 +568,7 @@ def _state_problem(
     """Per algebra block, the payoff stack of the validated S_0(a), ..., S_n(a)."""
 
     _validate_problem(a, lam, n, state.algebra, ext.state.algebra)
-    averages = _stacked(cesaro_reps(ext.l1_action, a.rep, n))
+    averages = ProjectionPath(a, lam, state.rho, ext.l1_action).average_stacks(n)
     return _payoff_stacks(lam, state.rho, averages, 0)
 
 
@@ -824,8 +819,11 @@ class ProjectionPath:
     compute one; a solve that ran out of sweeps computes it at once.
 
     The path keeps two stores: the averages S_r(a), once, as per-block
-    ``(m, d, d)`` stacks (``average_stacks``; each average is drawn from
-    the action, stacked, and not kept as an operator), and the payoffs.
+    ``(m, d, d)`` stacks (``average_stacks``), and the payoffs.  The
+    averages come from one recursion on arrays (``_averages`` on
+    ``action._act``): the path holds S_0(a) from construction, where the
+    membership of a is checked once, and joins later averages onto it as
+    they are drawn; no operator is built per average or per application.
     It keeps no ceilings.  The a-posteriori checks cut each ceiling
     ``lambda density - S_r(a)`` from the average stacks where they read
     it, with the formula the payoffs are formed by (``_ceiling``), so the
@@ -850,18 +848,20 @@ class ProjectionPath:
         self.action = action
         self.opts = opts
         self.steps: list[PathStep] = []
-        self._gen = _averages(action.apply, a.rep, None)
-        self._averages: list[np.ndarray] = []
+        action.algebra.check_member(a.rep)
+        hermitian = isinstance(a.rep, HermitianOperator)
+        self._gen = _averages(action._act, [b[None] for b in a.rep.blocks], hermitian, None)
+        self._averages = next(self._gen)
         self.payoffs = PayoffLayout()
         self._xs: tuple[tuple[np.ndarray, ...], ...] | None = None
 
     def average_stacks(self, n: int) -> list[np.ndarray]:
         """Per algebra block, the ``(n+1, d, d)`` stack of S_0(a), ..., S_n(a)."""
 
-        k = len(self._averages[0]) if self._averages else 0
+        k = len(self._averages[0])
         if k <= n:
-            fresh = _stacked(islice(self._gen, n + 1 - k))
-            self._averages = _appended(self._averages, fresh)
+            fresh = islice(self._gen, n + 1 - k)
+            self._averages = [np.concatenate(c) for c in zip(self._averages, *fresh)]
         return [stack[: n + 1] for stack in self._averages]
 
     def step(self, n: int) -> PathStep:
@@ -1293,19 +1293,21 @@ def _weak_type_verdict(
             return schatten_norm(y, p)
         return kosaki_norm(y, p, state)
 
-    norm_x = norm(x.rep if isinstance(x, LOneElement) else x)
+    rep = x.rep if isinstance(x, LOneElement) else x
+    norm_x = norm(rep)
     if tol is None:
         tol = RESIDUAL_RTOL * max(1.0, lam, norm_x)
     one = state.algebra.identity()
     mass = (state.rho @ (one - e)).real_trace()
     if mass > (c * norm_x / lam) ** p + tol:
         return False
+    ext.base.algebra.check_member(rep)
+    hermitian = isinstance(rep, HermitianOperator)
+    act = partial(ext._lp_act, p=p, hermitian=hermitian)
     if isinstance(x, LOneElement):
-        averages = cesaro_reps(ext.l1_action, x.rep, horizon)
-    else:
-        averages = _averages(lambda y: ext.lp_apply(y, p), x, horizon)
-    for rep in averages:
-        comp = compress(e, HermitianOperator._exact(rep.blocks))
+        act = ext.l1_action._act
+    for blocks in _averages(act, rep.blocks, hermitian, horizon):
+        comp = compress(e, HermitianOperator._exact(blocks))
         if operator_bound:
             if min_eigenvalue((lam * one) - comp) < -tol:
                 return False
@@ -1370,10 +1372,14 @@ def type_infinity_check(
     ``||S_r(x)|| <= ||x|| ||S_r(1)|| <= ||x|| + 1e-9`` for every sample, so
     the rule is never looser than the sampled one.  Any other map is
     tested on the identity and every sample, ``||S_r(x)|| <= ||x|| + 1e-9``.
-    The norms are read as families through ``_norms``, with the bits
-    ``op_norm`` gives: the identity and the samples as one family, and
-    each tested input's S_1, ..., S_horizon as one family, so every
-    average up to the horizon is computed before any is compared.
+    The tested inputs, the identity alone or the identity and the k
+    samples, are averaged together in one recursion on their per-block
+    stacks (``_averages`` on ``T._act``; no operator per average or per
+    application).  The norms are read as families through ``_norms``, with
+    the bits ``op_norm`` gives: the identity and the samples as one family,
+    and S_1, ..., S_horizon of every tested input as one family of
+    horizon x k operators, compared against each input's own bound, so
+    every average up to the horizon is computed before any is compared.
     """
 
     if not _is_index(samples) or samples < 1:
@@ -1389,16 +1395,15 @@ def type_infinity_check(
             g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             blocks.append(g @ g.conj().T)
         drawn.append(HermitianOperator._exact(blocks))
-    inputs = (algebra.identity(), *drawn)
-    norms = _norms(_stacked(inputs))
-    tests = zip(inputs, norms + 1e-9)
+    inputs = _stacked((algebra.identity(), *drawn))
+    norms = _norms(inputs)
+    bounds = norms + 1e-9
     if T.pedigree is Pedigree.CONSTRUCTED_POSITIVE:
-        tests = [(inputs[0], 1.0 + 1e-9 / max(1.0, float(np.max(norms[1:]))))]
-    for x, bound in tests:
-        averages = islice(_averages(T.apply, x, horizon), 1, None)
-        if np.any(_norms(_stacked(averages)) > bound):
-            return False
-    return True
+        inputs = [stack[:1] for stack in inputs]
+        bounds = 1.0 + 1e-9 / max(1.0, float(np.max(norms[1:])))
+    averages = islice(_averages(T._act, inputs, True, horizon), 1, None)
+    family = [np.concatenate(c) for c in zip(*averages)]
+    return not np.any(_norms(family).reshape(horizon, -1) > bounds)
 
 
 # -- commuting reference -------------------------------------------------------

@@ -6,7 +6,9 @@ recursions) live next to the tests that use them, not here.  The
 exceptions are the per-operator references for the stacked kernels of
 ``maximal``, kept here as the code those kernels replaced (among them the
 block ascent, its swap pass and its screen growth one matrix at a time,
-through ``numpy.linalg``), and the shift
+through ``numpy.linalg``), the map action, the Cesaro recursion and the
+superoperator matrix one operator at a time, as they were before the
+array action ``PositiveMapModel._act``, and the shift
 comparison point the solver no longer builds itself, the spies on
 when the solver computes its dual bound, and the solve that polishes
 every block.
@@ -326,3 +328,79 @@ def always_polish(monkeypatch) -> None:
     """Make every solve the reference that polishes every block."""
 
     monkeypatch.setattr(maximal, "_solve_from_blocks", reference_solve_from_blocks)
+
+
+def _reference_vec(x: BlockMatrix) -> np.ndarray:
+    return np.concatenate([b.reshape(-1) for b in x.blocks])
+
+
+def _reference_unvec(signature, v: np.ndarray) -> list[np.ndarray]:
+    blocks, k = [], 0
+    for d in signature:
+        blocks.append(v[k : k + d * d].reshape(d, d))
+        k += d * d
+    return blocks
+
+
+def reference_apply(model, x: BlockMatrix) -> BlockMatrix:
+    """``PositiveMapModel.apply`` one operator at a time: a Kraus map on the
+    full matrix of x, a superoperator on its 1-d vector of entries."""
+
+    model.algebra.check_member(x)
+    signature = model.algebra.signature
+    if model.kind == "kraus":
+        n = sum(x.dims)
+        full = np.zeros((n, n), dtype=np.complex128)
+        k = 0
+        for b in x.blocks:
+            d = b.shape[0]
+            full[k : k + d, k : k + d] = b
+            k += d
+        acc = np.zeros_like(full)
+        for w, v in zip(model.kraus_weights, model.kraus_ops):
+            acc += w * (v.conj().T @ full @ v)
+        blocks, k = [], 0
+        for d in signature:
+            blocks.append(acc[k : k + d, k : k + d])
+            k += d
+        return linalg._result(type(x), blocks)
+    out = model.matrix @ _reference_vec(x)
+    return linalg._result(type(x), _reference_unvec(signature, out))
+
+
+def reference_lp_apply(ext, x: BlockMatrix, p: float) -> BlockMatrix:
+    """``ExtendedMap.lp_apply`` on operators, through ``reference_apply``."""
+
+    if math.isinf(p):
+        return reference_apply(ext.base, x)
+    outer = ext.state.power(1.0 / (2.0 * p))
+    inner = ext.state.power(-1.0 / (2.0 * p))
+    mid = reference_apply(ext.base, linalg._result(type(x), (inner @ x @ inner).blocks))
+    return linalg._result(type(x), (outer @ mid @ outer).blocks)
+
+
+def reference_averages(step, x: BlockMatrix, n: int) -> list[BlockMatrix]:
+    """S_0(x), ..., S_n(x) with operator arithmetic, one operator per power,
+    sum and scaled sum."""
+
+    power = acc = x
+    out = [x]
+    for r in range(1, n + 1):
+        power = step(power)
+        acc = acc + power
+        out.append((1.0 / (r + 1)) * acc)
+    return out
+
+
+def reference_superop(algebra, f) -> np.ndarray:
+    """The matrix of an operator map f on concatenated block entries, one
+    ``BlockMatrix`` basis element at a time."""
+
+    c = algebra.coeff_dim
+    out = np.zeros((c, c), dtype=np.complex128)
+    for k in range(c):
+        v = np.zeros(c, dtype=np.complex128)
+        v[k] = 1.0
+        x = linalg._result(BlockMatrix, _reference_unvec(algebra.signature, v))
+        out[:, k] = _reference_vec(f(x))
+    return out

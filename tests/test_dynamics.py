@@ -4,10 +4,15 @@ Derived expectations are computed against independent oracles built in
 this file: the vec-basis matrix of the trace adjoint, hand-evaluated
 Markov actions, and a standard-form construction of the generalized
 conditional expectation that goes through explicit Hilbert-space
-projections rather than pinching.
+projections rather than pinching.  The array action and the Cesaro
+recursion on arrays are pinned bit for bit to the operator code they
+replaced (``tests/helpers.py``).
 """
 
 from __future__ import annotations
+
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +33,7 @@ from ergocert.dynamics import (
     PositiveMapModel,
     adjoint_map,
     cesaro,
+    cesaro_reps,
     cesaro_sequence,
     check_conditions,
     example_cond_expectation,
@@ -52,7 +58,17 @@ from ergocert.linalg import (
     op_norm,
     schatten_norm,
 )
-from helpers import random_hermitian
+from ergocert import maximal
+from ergocert.maximal import weak_type_predicate
+from helpers import (
+    random_block_matrix,
+    random_hermitian,
+    random_psd,
+    reference_apply,
+    reference_averages,
+    reference_lp_apply,
+    reference_superop,
+)
 
 HSETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
 
@@ -322,6 +338,114 @@ def test_cesaro_rejects_negative_horizon():
     ext = extend_l1(PositiveMapModel.identity(M2), state)
     with pytest.raises(InputError):
         cesaro(ext, random_positive_l1(104, M2), -1)
+
+
+# -- the array action, pinned to the operator code it replaced --------------
+
+PIN_SIGNATURES = [(2, 1), (3,), (8, 16), (1, 1, 1, 1, 1)]
+
+
+def _pin_maps(signature):
+    # a certified Kraus map, and the same map as a superoperator
+    algebra = Algebra(signature)
+    state = random_state(len(signature), algebra)
+    kraus = random_certified_map(sum(signature), algebra, state)
+    matrix = reference_superop(algebra, lambda x: reference_apply(kraus, x))
+    superop = PositiveMapModel.from_superop(algebra, matrix, Pedigree.SAMPLED_POSITIVE)
+    return algebra, state, (kraus, superop)
+
+
+def _same_bits(got, want) -> bool:
+    # bit for bit: bytes tell -0.0 from 0.0
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _same_operators(got, want) -> bool:
+    return all(
+        type(g) is type(w) and all(_same_bits(a, b) for a, b in zip(g.blocks, w.blocks))
+        for g, w in zip(got, want)
+    ) and len(got) == len(want)
+
+
+@pytest.mark.parametrize("signature", PIN_SIGNATURES)
+def test_array_action_keeps_the_operator_bits(signature):
+    # one matrix per block, and (k, d, d) stacks of k inputs, matrix by matrix
+    _, _, models = _pin_maps(signature)
+    rng = np.random.default_rng(sum(signature) + 7)
+    xs = [random_block_matrix(rng, signature) for _ in range(5)]
+    for model in models:
+        wants = [reference_apply(model, x).blocks for x in xs]
+        for x, want in zip(xs, wants):
+            assert all(_same_bits(g, w) for g, w in zip(model._act(x.blocks), want))
+        for k in (1, 5):
+            stacks = [np.stack([x.blocks[c] for x in xs[:k]]) for c in range(len(signature))]
+            got = model._act(stacks)
+            for j, want in enumerate(wants[:k]):
+                assert all(_same_bits(g[j], w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("signature", PIN_SIGNATURES)
+def test_cesaro_reps_keep_the_operator_bits(signature):
+    # a hermitian input is symmetrized where the operators symmetrized it; a
+    # BlockMatrix input stays a BlockMatrix and is never symmetrized
+    _, _, models = _pin_maps(signature)
+    rng = np.random.default_rng(sum(signature) + 11)
+    for x in (random_psd(rng, signature), random_block_matrix(rng, signature)):
+        for model in models:
+            want = reference_averages(lambda y: reference_apply(model, y), x, 6)
+            got = cesaro_reps(model, x, 6)
+            assert _same_operators(got, want)
+    assert type(got[-1]) is BlockMatrix and got[-1].hermiticity_defect() > 0.0
+
+
+@pytest.mark.parametrize("signature", PIN_SIGNATURES)
+def test_superoperator_matrices_keep_the_operator_bits(signature):
+    algebra, state, (kraus, superop) = _pin_maps(signature)
+    want = reference_superop(algebra, lambda x: reference_apply(kraus, x))
+    assert _same_bits(kraus.as_superop(), want)
+    half, neg_half = state.power(0.5), state.power(-0.5)
+    want = reference_superop(
+        algebra, lambda x: half @ reference_apply(superop, neg_half @ x @ neg_half) @ half
+    )
+    assert _same_bits(extend_l1(superop, state).l1_action.matrix, want)
+
+
+@pytest.mark.parametrize("signature", PIN_SIGNATURES)
+def test_weak_type_lp_averages_keep_the_operator_bits(monkeypatch, signature):
+    # the averages the algebra-input branch compresses, read where it compresses them
+    algebra, state, models = _pin_maps(signature)
+    checked = []
+    real = maximal.compress
+
+    def recording(e, y):
+        checked.append(y)
+        return real(e, y)
+
+    monkeypatch.setattr(maximal, "compress", recording)
+    rng = np.random.default_rng(29)
+    e = algebra.identity()
+    for model in models:
+        ext = extend_l1(model, state)
+        for x in (random_psd(rng, signature), random_block_matrix(rng, signature)):
+            for p in (2.0, math.inf):
+                checked.clear()
+                assert weak_type_predicate(e, x, 1e6, 2.0, p, state, ext, 5)
+                averages = reference_averages(lambda y: reference_lp_apply(ext, y, p), x, 5)
+                want = [HermitianOperator._exact(s.blocks) for s in averages]
+                assert _same_operators(checked, want)
+
+
+def test_superop_matrix_holds_one_basis_image_at_a_time():
+    # the whole basis at once would take c n^2 entries, about 54 MB here
+    model = PositiveMapModel.identity(Algebra((1,) * 150))
+    tracemalloc.start()
+    try:
+        matrix = model.as_superop()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(matrix, np.eye(150))
+    assert peak < 8 * 2**20
 
 
 @given(seed=st.integers(0, 10_000))

@@ -919,22 +919,36 @@ def test_pointwise_certificate_random_instances():
 
 
 def test_pointwise_certificate_builds_its_averages_once(monkeypatch):
-    # S_1(a), ..., S_n(a) take n applications of the L1 action, shared by
-    # the payoffs and the domination residuals
+    # S_1(a), ..., S_n(a) take n applications of the L1 action's array
+    # action, shared by the payoffs and the domination residuals
     _, state, a, ext = _certified_instance(5)
     applied = []
-    real = PositiveMapModel.apply
+    real = PositiveMapModel._act
 
-    def counting(model, x):
+    def counting(model, blocks):
         applied.append(model)
-        return real(model, x)
+        return real(model, blocks)
 
-    monkeypatch.setattr(PositiveMapModel, "apply", counting)
+    monkeypatch.setattr(PositiveMapModel, "_act", counting)
     for n in (0, 1, 4):
         applied.clear()
         pointwise_certificate(a, 1.0, n, state, ext)
         assert len(applied) == n
         assert all(model is ext.l1_action for model in applied)
+
+
+def test_non_finite_averages_keep_their_typed_error():
+    # an unchecked action that overflows at S_1: the array recursion raises
+    # the error an operator's blocks raise
+    algebra = Algebra((2,))
+    action = PositiveMapModel.from_kraus(algebra, [np.eye(2)], [1e300])
+    a = LOneElement(1e10 * algebra.identity())
+    path = ProjectionPath(a, 1.0, algebra.identity(), action)
+    with np.errstate(over="ignore"):
+        with pytest.raises(InputError, match="block entries must be finite"):
+            path.average_stacks(1)
+        with pytest.raises(InputError, match="block entries must be finite"):
+            cesaro_reps(action, a.rep, 1)
 
 
 def test_pointwise_certificate_decomposes_its_kernel_once(monkeypatch):
@@ -1451,23 +1465,24 @@ def _sampled_norms(algebra, samples):
 
 
 def test_type_infinity_tests_a_constructed_map_on_the_identity_alone(monkeypatch):
-    # exact positivity: S_1(1), ..., S_horizon(1) take horizon applications,
+    # exact positivity: S_1(1), ..., S_horizon(1) take horizon applications
+    # of the array action in one recursion whose only input is the identity,
     # and the samples only set the bound
     algebra = Algebra((2, 3))
     model = random_certified_map(12, algebra, random_state(3, algebra))
     assert model.pedigree is Pedigree.CONSTRUCTED_POSITIVE
     applied, averaged = [], []
-    real_apply, real_averages = PositiveMapModel.apply, maximal._averages
+    real_act, real_averages = PositiveMapModel._act, maximal._averages
 
-    def counting(T, x):
-        applied.append(x)
-        return real_apply(T, x)
+    def counting(T, blocks):
+        applied.append(blocks)
+        return real_act(T, blocks)
 
-    def recording(step, x, n):
-        averaged.append(x)
-        return real_averages(step, x, n)
+    def recording(act, blocks, hermitian, n):
+        averaged.append(blocks)
+        return real_averages(act, blocks, hermitian, n)
 
-    monkeypatch.setattr(PositiveMapModel, "apply", counting)
+    monkeypatch.setattr(PositiveMapModel, "_act", counting)
     monkeypatch.setattr(maximal, "_averages", recording)
     one = algebra.identity()
     for horizon in (1, 7, 20):
@@ -1476,7 +1491,8 @@ def test_type_infinity_tests_a_constructed_map_on_the_identity_alone(monkeypatch
         assert type_infinity_check(model, samples=12, horizon=horizon)
         assert len(applied) == horizon
         assert len(averaged) == 1
-        assert all(np.array_equal(b, i) for b, i in zip(averaged[0].blocks, one.blocks))
+        assert [stack.shape[0] for stack in averaged[0]] == [1, 1]
+        assert all(np.array_equal(s[0], i) for s, i in zip(averaged[0], one.blocks))
 
 
 def test_type_infinity_identity_bound_is_no_looser():
