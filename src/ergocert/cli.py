@@ -11,7 +11,7 @@ import argparse
 import math
 import sys
 
-from .errors import InputError, NumericalBreakdown
+from .errors import InputError, NumericalBreakdown, ScenarioError
 from .scenario import dumps, export_csv, load_report, load_scenario, run_scenario
 from .suite import run_suite
 
@@ -71,8 +71,11 @@ def _write_out(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ScenarioError(f"cannot write output file: {exc}") from exc
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

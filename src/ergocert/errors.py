@@ -62,7 +62,7 @@ class ConditionsNotMet(InputError):
 
 
 class ScenarioError(InputError):
-    """Scenario or report file is malformed."""
+    """Scenario or report file is malformed, or cannot be read or written."""
 
 
 class NumericalBreakdown(ErgocertError):

@@ -55,6 +55,7 @@ from .linalg import (
     HermitianOperator,
     _eigh,
     _eigvalsh,
+    _form,
     _sym,
     apply_spectral,
     compress,
@@ -1372,11 +1373,13 @@ def type_infinity_check(
     ``||S_r(x)|| <= ||x|| ||S_r(1)|| <= ||x|| + 1e-9`` for every sample, so
     the rule is never looser than the sampled one.  Any other map is
     tested on the identity and every sample, ``||S_r(x)|| <= ||x|| + 1e-9``.
-    The tested inputs, the identity alone or the identity and the k
-    samples, are averaged together in one recursion on their per-block
-    stacks (``_averages`` on ``T._act``; no operator per average or per
-    application).  The norms are read as families through ``_norms``, with
-    the bits ``op_norm`` gives: the identity and the samples as one family,
+    The identity and the samples go straight into per-block stacks, each
+    sample formed by ``_form`` as an operator's block is.  The tested
+    inputs, the identity alone or the identity and the k samples, are
+    averaged together in one recursion on those stacks (``_averages`` on
+    ``T._act``; no operator per sample, per average or per application).
+    The norms are read as families through ``_norms``, with the bits
+    ``op_norm`` gives: the identity and the samples as one family,
     and S_1, ..., S_horizon of every tested input as one family of
     horizon x k operators, compared against each input's own bound, so
     every average up to the horizon is computed before any is compared.
@@ -1386,16 +1389,16 @@ def type_infinity_check(
         raise InputError(f"need a whole number of samples >= 1, got {samples!r}")
     if not _is_index(horizon) or horizon < 1:
         raise InputError(f"horizon must be a whole number >= 1, got {horizon!r}")
-    algebra = T.algebra
+    dims = T.algebra.signature
     rng = np.random.default_rng(SAMPLER_SEED)
-    drawn = []
+    # per algebra block, the identity and then each sample g g*, drawn
+    # sample-major and then block from complex Gaussians g
+    stacks = [[np.eye(d, dtype=np.complex128)] for d in dims]
     for _ in range(samples):
-        blocks = []
-        for d in algebra.signature:
+        for stack, d in zip(stacks, dims):
             g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            blocks.append(g @ g.conj().T)
-        drawn.append(HermitianOperator._exact(blocks))
-    inputs = _stacked((algebra.identity(), *drawn))
+            stack.append(_form(g @ g.conj().T, True))
+    inputs = [np.stack(stack) for stack in stacks]
     norms = _norms(inputs)
     bounds = norms + 1e-9
     if T.pedigree is Pedigree.CONSTRUCTED_POSITIVE:

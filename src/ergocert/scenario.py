@@ -5,7 +5,10 @@ algebra, a state or tracial weight, a positive map, an input element, a
 threshold lambda, and the orders to certify.  Running it produces a
 report with one record per pointwise order plus a uniform record.  Both
 documents use a restricted JSON profile written by a canonical emitter,
-so identical inputs always produce byte-identical files.
+so identical inputs always produce byte-identical files.  The emitter
+renders each value once, bottom-up: keys sorted, floats with 17
+significant digits, and a list on one line when it holds no object and
+that line, indentation aside, is at most 88 characters.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ TOLERANCE_KEYS = ("residual", "eps_kernel", "cluster_tol", "window", "check_hori
 # input trace: products and sums of a few such numbers stay in the float range
 _MAX_ENTRY = 1e100
 
-# inline lists only below this rendered width; pure function of content
+# a list sits on one line when that line, indentation aside, is at most this
+# wide; a pure function of content
 _INLINE_WIDTH = 88
 
 
@@ -91,62 +95,42 @@ def _fmt_scalar(obj: Any) -> str:
     raise ScenarioError(f"cannot serialize value of type {type(obj).__name__}")
 
 
-def _inline(obj: Any) -> str | None:
-    """Single-line rendering, or None when the value must stay multi-line."""
+def _render(obj: Any, level: int) -> tuple[str, bool]:
+    """Text of a value at indentation ``level``, and whether it may sit inline.
 
-    if isinstance(obj, dict):
-        return None
-    if isinstance(obj, (list, tuple)):
-        parts = []
-        for item in obj:
-            s = _inline(item)
-            if s is None:
-                return None
-            parts.append(s)
-        text = "[" + ", ".join(parts) + "]"
-        return text if len(text) <= _INLINE_WIDTH else None
-    return _fmt_scalar(obj)
+    One bottom-up pass renders each value once.  A list goes on one line
+    when every item may sit inline and the line, indentation aside, is at
+    most ``_INLINE_WIDTH`` wide; an object never sits inline, not even ``{}``.
+    """
 
-
-def _emit(obj: Any, out: list[str], level: int) -> None:
-    pad = "  " * level
     if isinstance(obj, dict):
         if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        keys = sorted(obj)
-        for i, k in enumerate(keys):
+            return "{}", False
+        rows = []
+        for k in sorted(obj):
             if not isinstance(k, str):
                 raise ScenarioError(f"object keys must be strings, got {k!r}")
-            out.append(pad + "  " + json.dumps(k, ensure_ascii=True) + ": ")
-            _emit(obj[k], out, level + 1)
-            out.append(",\n" if i + 1 < len(keys) else "\n")
-        out.append(pad + "}")
-        return
-    if isinstance(obj, (list, tuple)):
-        flat = _inline(obj)
-        if flat is not None:
-            out.append(flat)
-            return
-        out.append("[\n")
-        items = list(obj)
-        for i, item in enumerate(items):
-            out.append(pad + "  ")
-            _emit(item, out, level + 1)
-            out.append(",\n" if i + 1 < len(items) else "\n")
-        out.append(pad + "]")
-        return
-    out.append(_fmt_scalar(obj))
+            rows.append(json.dumps(k, ensure_ascii=True) + ": " + _render(obj[k], level + 1)[0])
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        items = [_render(item, level + 1) for item in obj]
+        rows = [text for text, _ in items]
+        if all(inline for _, inline in items):
+            flat = "[" + ", ".join(rows) + "]"
+            if len(flat) <= _INLINE_WIDTH:
+                return flat, True
+        brackets = "[]"
+    else:
+        return _fmt_scalar(obj), True
+    pad = "  " * level
+    body = ",\n".join(pad + "  " + row for row in rows)
+    return brackets[0] + "\n" + body + "\n" + pad + brackets[1], False
 
 
 def dumps(obj: Any) -> str:
     """Canonical text for a scenario or report: sorted keys, 17-digit floats."""
 
-    out: list[str] = []
-    _emit(obj, out, 0)
-    out.append("\n")
-    return "".join(out)
+    return _render(obj, 0)[0] + "\n"
 
 
 def loads(text: str) -> Any:

@@ -11,16 +11,22 @@ superoperator matrix one operator at a time, as they were before the
 array action ``PositiveMapModel._act``, and the shift
 comparison point the solver no longer builds itself, the spies on
 when the solver computes its dual bound, and the solve that polishes
-every block.
+every block.  Outside ``maximal`` it keeps the draw of
+``type_infinity_check`` one operator per sample, as it was before the
+samples went straight into stacks, and the canonical emitter of
+``scenario`` as it was before one bottom-up pass rendered each value once.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 
 from ergocert import linalg, maximal
+from ergocert.dynamics import Pedigree
+from ergocert.errors import ScenarioError
 from ergocert.linalg import (
     BlockMatrix,
     HermitianOperator,
@@ -29,6 +35,7 @@ from ergocert.linalg import (
     min_eigenvalue,
     positive_part,
 )
+from ergocert.scenario import _fmt_scalar
 
 
 def random_complex(rng: np.random.Generator, n: int, m: int | None = None) -> np.ndarray:
@@ -404,3 +411,100 @@ def reference_superop(algebra, f) -> np.ndarray:
         x = linalg._result(BlockMatrix, _reference_unvec(algebra.signature, v))
         out[:, k] = _reference_vec(f(x))
     return out
+
+
+def reference_type_infinity_samples(algebra, samples: int) -> list[HermitianOperator]:
+    """The seeded samples of ``type_infinity_check``, one operator each."""
+
+    rng = np.random.default_rng(maximal.SAMPLER_SEED)
+    drawn = []
+    for _ in range(samples):
+        blocks = []
+        for d in algebra.signature:
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            blocks.append(g @ g.conj().T)
+        drawn.append(HermitianOperator._exact(blocks))
+    return drawn
+
+
+def reference_type_infinity_inputs(algebra, samples: int) -> list[np.ndarray]:
+    """The identity and the samples, stacked per block from their operators."""
+
+    drawn = reference_type_infinity_samples(algebra, samples)
+    return maximal._stacked((algebra.identity(), *drawn))
+
+
+def reference_type_infinity_check(T, samples: int = 12, horizon: int = 20) -> bool:
+    """``type_infinity_check`` on the inputs drawn one operator per sample."""
+
+    inputs = reference_type_infinity_inputs(T.algebra, samples)
+    norms = maximal._norms(inputs)
+    bounds = norms + 1e-9
+    if T.pedigree is Pedigree.CONSTRUCTED_POSITIVE:
+        inputs = [stack[:1] for stack in inputs]
+        bounds = 1.0 + 1e-9 / max(1.0, float(np.max(norms[1:])))
+    averages = list(maximal._averages(T._act, inputs, True, horizon))[1:]
+    family = [np.concatenate(c) for c in zip(*averages)]
+    return not np.any(maximal._norms(family).reshape(horizon, -1) > bounds)
+
+
+def _reference_inline(obj) -> str | None:
+    # single-line rendering, or None when the value must stay multi-line
+    if isinstance(obj, dict):
+        return None
+    if isinstance(obj, (list, tuple)):
+        parts = []
+        for item in obj:
+            s = _reference_inline(item)
+            if s is None:
+                return None
+            parts.append(s)
+        text = "[" + ", ".join(parts) + "]"
+        return text if len(text) <= 88 else None
+    return _fmt_scalar(obj)
+
+
+def _reference_emit(obj, out: list[str], level: int) -> None:
+    pad = "  " * level
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        keys = sorted(obj)
+        for i, k in enumerate(keys):
+            if not isinstance(k, str):
+                raise ScenarioError(f"object keys must be strings, got {k!r}")
+            out.append(pad + "  " + json.dumps(k, ensure_ascii=True) + ": ")
+            _reference_emit(obj[k], out, level + 1)
+            out.append(",\n" if i + 1 < len(keys) else "\n")
+        out.append(pad + "}")
+        return
+    if isinstance(obj, (list, tuple)):
+        flat = _reference_inline(obj)
+        if flat is not None:
+            out.append(flat)
+            return
+        out.append("[\n")
+        items = list(obj)
+        for i, item in enumerate(items):
+            out.append(pad + "  ")
+            _reference_emit(item, out, level + 1)
+            out.append(",\n" if i + 1 < len(items) else "\n")
+        out.append(pad + "]")
+        return
+    out.append(_fmt_scalar(obj))
+
+
+def reference_dumps(obj) -> str:
+    """The canonical emitter that tried every nested list inline first.
+
+    It renders a list's whole subtree before it checks the width, so a
+    value nested k lists deep is rendered up to k + 1 times; kept to pin
+    the bytes and the errors of ``scenario.dumps``.
+    """
+
+    out: list[str] = []
+    _reference_emit(obj, out, 0)
+    out.append("\n")
+    return "".join(out)

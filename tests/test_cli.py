@@ -311,3 +311,22 @@ def test_export_csv_rejects_malformed_reports(tmp_path, capsys, doc):
     path.write_text(dumps(doc), encoding="utf-8")
     assert main(["export-csv", str(path)]) == 2
     assert "ScenarioError: report field" in capsys.readouterr().err
+
+
+def test_an_unwritable_out_exits_two(tmp_path, capsys):
+    # --out naming a directory, or a file in a missing directory, is an
+    # input error for every command, not a traceback read as a failed certificate
+    sc = write_scenario(tmp_path)
+    rep = tmp_path / "r.json"
+    assert main(["verify", sc, "--out", str(rep)]) == 0
+    commands = (
+        ["verify", sc],
+        ["suite", "--seed", "0", "--count", "1"],
+        ["export-csv", str(rep)],
+    )
+    for argv in commands:
+        for out in (tmp_path, tmp_path / "missing" / "out.json"):
+            capsys.readouterr()
+            assert main(argv + ["--out", str(out)]) == 2
+            assert "ScenarioError: cannot write output file: " in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()

@@ -91,6 +91,9 @@ from helpers import (
     reference_payoffs,
     reference_swap_pass,
     reference_swap_screen,
+    reference_type_infinity_check,
+    reference_type_infinity_inputs,
+    reference_type_infinity_samples,
     shift_point,
 )
 
@@ -1453,15 +1456,50 @@ def test_type_infinity_rejects_expanding_map():
 
 def _sampled_norms(algebra, samples):
     # the check's own draw: seeded complex Gaussians g, test elements g g*
-    rng = np.random.default_rng(maximal.SAMPLER_SEED)
-    norms = []
-    for _ in range(samples):
-        blocks = []
-        for d in algebra.signature:
-            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            blocks.append(g @ g.conj().T)
-        norms.append(op_norm(HermitianOperator._exact(blocks)))
-    return norms
+    return [op_norm(x) for x in reference_type_infinity_samples(algebra, samples)]
+
+
+@pytest.mark.parametrize("dims", [(2, 1), (3,), (8, 16)])
+def test_type_infinity_draws_the_reference_inputs_into_stacks(monkeypatch, dims):
+    # the identity and the samples, drawn straight into per-block stacks, keep
+    # the bits of the operators they replaced, and the verdicts stay those of
+    # the check on the operators' stacks, for both pedigrees and both outcomes
+    algebra = Algebra(dims)
+    certified = random_certified_map(5, algebra, random_state(6, algebra))
+    superop = certified.as_superop()
+    # grown so that ||T(1)|| = 2
+    grow = 2.0 / op_norm(certified.apply(algebra.identity()))
+    weights = grow * np.asarray(certified.kraus_weights)
+    models = [
+        certified,
+        PositiveMapModel.from_superop(algebra, superop, Pedigree.SAMPLED_POSITIVE),
+        PositiveMapModel.from_kraus(algebra, certified.kraus_ops, weights),
+        PositiveMapModel.from_superop(algebra, grow * superop, Pedigree.UNVERIFIED),
+    ]
+    assert [m.pedigree for m in models] == [
+        Pedigree.CONSTRUCTED_POSITIVE,
+        Pedigree.SAMPLED_POSITIVE,
+        Pedigree.CONSTRUCTED_POSITIVE,
+        Pedigree.UNVERIFIED,
+    ]
+    families = []
+    real_norms = maximal._norms
+
+    def recording(stacks):
+        families.append(stacks)
+        return real_norms(stacks)
+
+    monkeypatch.setattr(maximal, "_norms", recording)
+    expected = reference_type_infinity_inputs(algebra, 12)
+    verdicts = []
+    for model in models:
+        families.clear()
+        verdicts.append(type_infinity_check(model, samples=12, horizon=6))
+        inputs = families[0]
+        assert [s.shape for s in inputs] == [(13, d, d) for d in dims]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(inputs, expected))
+        assert verdicts[-1] == reference_type_infinity_check(model, samples=12, horizon=6)
+    assert verdicts == [True, True, False, False]
 
 
 def test_type_infinity_tests_a_constructed_map_on_the_identity_alone(monkeypatch):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ergocert import linalg, maximal
+from ergocert import linalg, maximal, scenario
 from ergocert.errors import NoStableLimit, ScenarioError
 from ergocert.maximal import pointwise_certificate
 from ergocert.scenario import (
@@ -20,7 +20,9 @@ from ergocert.scenario import (
     run_scenario,
 )
 
-from helpers import always_polish, count_dual_calls, read_every_bound_at_once
+from ergocert.suite import run_suite
+
+from helpers import always_polish, count_dual_calls, read_every_bound_at_once, reference_dumps
 
 
 def trivial_dict(**over):
@@ -112,6 +114,110 @@ def test_dumps_rejects_unknown_types():
 def test_dumps_byte_identical_reruns():
     doc = trivial_dict()
     assert dumps(doc) == dumps(dict(reversed(list(doc.items()))))
+
+
+def _reports():
+    # the scenario fixtures' reports: state, markov, tracial, no stable limit
+    docs = (trivial_dict(), markov_dict(), tracial_dict(), trivial_dict(horizon=3))
+    return [run_scenario(Scenario.from_dict(doc)) for doc in docs]
+
+
+def _wide_matrix():
+    rng = np.random.default_rng(24)
+    return encode_matrix(rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24)))
+
+
+def test_dumps_matches_the_reference_emitter_byte_for_byte():
+    docs = [*_reports(), run_suite(0, 5), _wide_matrix(), {"m": [_wide_matrix()]}]
+    for doc in docs:
+        assert dumps(doc) == reference_dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, error",
+    [
+        ({"x": [1.0, float("nan")]}, ScenarioError),
+        ([[1, 2], [{"a": float("inf")}]], ScenarioError),
+        ({"x": {1, 2}}, ScenarioError),
+        ({"a": [0], "b": {1: "non-string key"}}, ScenarioError),
+        ({"b": {"a": 1, 2: 3}}, TypeError),
+        # the first error in document order wins, keys sorted first
+        ([{"a": 1, 2: 3}, float("nan")], TypeError),
+        ([{1: 2}, float("nan")], ScenarioError),
+        ([float("nan"), {1: 2}], ScenarioError),
+        ([["x" * 90], {2}, {1: 2}], ScenarioError),
+    ],
+)
+def test_dumps_raises_the_reference_emitters_errors(doc, error):
+    with pytest.raises(error) as ref:
+        reference_dumps(doc)
+    with pytest.raises(error) as got:
+        dumps(doc)
+    assert type(got.value) is type(ref.value)
+    assert str(got.value) == str(ref.value)
+
+
+def test_inline_width_counts_the_lists_own_text():
+    # 88 characters go on one line and 89 do not, at depth 0 and at depth 3,
+    # where the indentation and the key make the document line longer
+    fits, spills = ["x" * 40, "y" * 40], ["x" * 40, "y" * 41]
+    one_line = '["' + "x" * 40 + '", "' + "y" * 40 + '"]'
+    assert len(one_line) == 88
+    assert dumps(fits) == one_line + "\n"
+    assert dumps(spills) == '[\n  "' + "x" * 40 + '",\n  "' + "y" * 41 + '"\n]\n'
+
+    def deep(text):
+        # the text of {"k": {"k": {"k": v}}} when v, at depth 3, renders as text
+        return '{\n  "k": {\n    "k": {\n      "k": ' + text + "\n    }\n  }\n}\n"
+
+    deep_fits, deep_spills = {"k": {"k": {"k": fits}}}, {"k": {"k": {"k": spills}}}
+    assert dumps(deep_fits) == deep(one_line)
+    assert dumps(deep_spills) == deep(
+        '[\n        "' + "x" * 40 + '",\n        "' + "y" * 41 + '"\n      ]'
+    )
+    for doc in (fits, spills, deep_fits, deep_spills):
+        assert dumps(doc) == reference_dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, text",
+    [
+        # an object never sits inline, not even {}, nor does a list holding one
+        ([{}], "[\n  {}\n]"),
+        ([[], [{}], ()], "[\n  [],\n  [\n    {}\n  ],\n  []\n]"),
+        ({}, "{}"),
+        # lists and tuples of lists and scalars do
+        ([[]], "[[]]"),
+        ((1, (2.0, "a"), None), '[1, [2.0, "a"], null]'),
+        # an inner list that fits inside an outer list that does not
+        ([["a" * 40], ["b" * 40]], '[\n  ["' + "a" * 40 + '"],\n  ["' + "b" * 40 + '"]\n]'),
+    ],
+)
+def test_inline_rule(doc, text):
+    assert dumps(doc) == text + "\n" == reference_dumps(doc)
+
+
+def _scalar_leaves(obj) -> int:
+    if isinstance(obj, dict):
+        return sum(_scalar_leaves(v) for v in obj.values())
+    if isinstance(obj, (list, tuple)):
+        return sum(_scalar_leaves(v) for v in obj)
+    return 1
+
+
+def test_dumps_renders_each_scalar_once(monkeypatch):
+    calls = []
+    real = scenario._fmt_scalar
+
+    def counting(obj):
+        calls.append(obj)
+        return real(obj)
+
+    monkeypatch.setattr(scenario, "_fmt_scalar", counting)
+    for doc in (*_reports(), {"m": [_wide_matrix()]}):
+        calls.clear()
+        dumps(doc)
+        assert len(calls) == _scalar_leaves(doc)
 
 
 def test_loads_rejects_malformed_text():
