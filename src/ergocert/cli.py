@@ -8,6 +8,7 @@ projection limit under --strict).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -31,7 +32,9 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser as it found it
     parser = argparse.ArgumentParser(
         prog="ergocert",
         description="projection certificates for maximal ergodic averages",
@@ -102,8 +105,7 @@ def _cmd_export_csv(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         # --tol of verify and suite, checked before any work
         tol = getattr(args, "tol", None)

@@ -37,11 +37,19 @@ Tolerance conventions used throughout:
   as a spectral-norm check at the operator's scale;
 * PSD test: min eigenvalue ``>= -tol * max(1, operator norm)`` with
   ``tol = 1e-9`` by default;
-* spectral cut classification: eigenvalues within ``eps_kernel`` of a
-  finite open cut endpoint are pushed to the complement of the returned
-  projection (the conservative side); strict mode raises instead.  The
-  closed endpoint of a half-open interval keeps its closure: eigenvalues
-  within ``eps_kernel`` of it stay inside the projection.
+* spectral cut classification, written once in ``_cut`` and read by
+  ``spectral_projection``, the support extraction and the limit cut:
+  eigenvalues within ``eps_kernel`` above a finite open cut endpoint are
+  pushed to the complement of the returned projection (the conservative
+  side); strict mode raises on any eigenvalue within ``eps_kernel`` of it
+  instead.  The closed endpoint of a half-open interval keeps its
+  closure: eigenvalues within ``eps_kernel`` of it stay inside the
+  projection.  ``eps_kernel`` defaults to ``1e-8 * max(1, |lambda_min|,
+  |lambda_max|)``, as ``scaled_tol`` computes it.  The support cut of
+  ``maximal.extract_projection`` cuts at the width itself, keeping the
+  eigenvalues above ``2 eps_kernel``; eigenvalues up to ``eps_kernel`` are
+  its kernel, so strict mode there raises only on ``(eps_kernel, 2
+  eps_kernel]``.
 """
 
 from __future__ import annotations
@@ -364,17 +372,59 @@ def op_norm(A: BlockMatrix) -> float:
     return max(float(np.linalg.norm(b, 2)) for b in A.blocks)
 
 
+def _scaled(ws: Sequence[np.ndarray], rtol: float) -> float:
+    # rtol * max(1, |least|, |largest|) over every block's ascending eigenvalues
+    return rtol * max(1.0, abs(float(min(w[0] for w in ws))), abs(float(max(w[-1] for w in ws))))
+
+
 def scaled_tol(A: HermitianOperator, rtol: float) -> float:
     """``rtol * max(1, op norm)``: the PSD test's tolerance and the default cut width."""
 
-    spec = eigh(A)
-    return rtol * max(1.0, abs(spec.min_eigenvalue()), abs(spec.max_eigenvalue()))
+    return _scaled(eigh(A).eigenvalues, rtol)
 
 
 def is_psd(A: HermitianOperator, tol: float = PSD_TOL) -> bool:
     """True iff the minimum eigenvalue is ``>= -tol * max(1, op norm)``."""
 
     return min_eigenvalue(A) >= -scaled_tol(A, tol)
+
+
+def _cut(ws, lo, hi, eps_kernel, strict) -> tuple[float, list[np.ndarray]]:
+    """The spectral-cut rule: the cut width and, per block, the eigenvalues kept.
+
+    ``ws`` holds each block's ascending eigenvalues; the mask of a block
+    keeps those in ``(lo + eps, hi + eps]``, the module docstring's
+    convention, and strict mode raises ``AmbiguousSpectralCut`` on an
+    eigenvalue within ``eps`` of a finite ``lo``.  ``eps`` is
+    ``eps_kernel``, or ``scaled_tol``'s ``1e-8 * max(1, |lambda_min|,
+    |lambda_max|)`` over every block when it is None.  A ``lo`` of None is
+    the support cut: ``lo`` is ``eps`` itself, eigenvalues up to it are the
+    kernel, and strict mode raises only on those the band pushes out,
+    ``(eps, 2 eps]``.
+    """
+
+    eps = _scaled(ws, KERNEL_EPS) if eps_kernel is None else float(eps_kernel)
+    support = lo is None
+    lo = eps if support else lo
+    if not lo < hi:
+        raise InputError(f"empty interval ({lo}, {hi}]")
+    masks = []
+    for w in ws:
+        mask = w > lo + eps if math.isfinite(lo) else np.ones_like(w, dtype=bool)
+        if strict and math.isfinite(lo):
+            near = (w > lo) & ~mask if support else np.abs(w - lo) <= eps
+            if near.any():
+                raise AmbiguousSpectralCut(f"eigenvalue within {eps:.3e} of cut point {lo}")
+        if math.isfinite(hi):
+            mask &= w <= hi + eps
+        masks.append(mask)
+    return eps, masks
+
+
+def _projector(u: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    # the projection onto the columns of u that mask keeps
+    cols = u[:, mask]
+    return cols @ cols.conj().T
 
 
 def spectral_projection(
@@ -390,27 +440,12 @@ def spectral_projection(
     (shrinking it), in strict mode they raise ``AmbiguousSpectralCut``.
     Eigenvalues within ``eps_kernel`` of a finite closed endpoint ``hi``
     stay inside, honoring the closure.  ``eps_kernel`` defaults to
-    ``1e-8 * max(1, op norm)``.
+    ``1e-8 * max(1, op norm)``.  The classification is ``_cut``'s.
     """
 
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise InputError(f"empty interval ({lo}, {hi}]")
     spec = eigh(A)
-    if eps_kernel is None:
-        eps_kernel = scaled_tol(A, KERNEL_EPS)
-    blocks = []
-    for w, u in zip(spec.eigenvalues, spec.vectors):
-        if strict and math.isfinite(lo) and np.any(np.abs(w - lo) <= eps_kernel):
-            raise AmbiguousSpectralCut(
-                f"eigenvalue within {eps_kernel:.3e} of cut point {lo}"
-            )
-        mask = w > lo + eps_kernel if math.isfinite(lo) else np.ones_like(w, dtype=bool)
-        if math.isfinite(hi):
-            mask &= w <= hi + eps_kernel
-        cols = u[:, mask]
-        blocks.append(cols @ cols.conj().T)
-    return HermitianOperator._exact(blocks)
+    _, masks = _cut(spec.eigenvalues, float(interval[0]), float(interval[1]), eps_kernel, strict)
+    return HermitianOperator._exact([_projector(u, m) for u, m in zip(spec.vectors, masks)])
 
 
 def schatten_norm(A: BlockMatrix, p: float) -> float:

@@ -50,23 +50,21 @@ from .errors import (
     NotTracial,
 )
 from .linalg import (
-    KERNEL_EPS,
     PSD_TOL,
     HermitianOperator,
+    _cut,
     _eigh,
     _eigvalsh,
     _form,
+    _projector,
     _sym,
-    apply_spectral,
     compress,
-    eigh,  # noqa: F401  (bound here for perfbench's layer trace and its smoke test)
+    eigh,
     eigh_stack,
     max_eigenvalue,
     min_eigenvalue,
     op_norm,
-    scaled_tol,
     schatten_norm,
-    spectral_projection,
 )
 
 TOL_OBJ = 1e-10
@@ -415,12 +413,6 @@ def _ascend_block(
 # -- assembled solver ----------------------------------------------------------
 
 
-def _resolve_eps(A: HermitianOperator, eps_kernel: float | None) -> float:
-    if eps_kernel is not None:
-        return float(eps_kernel)
-    return scaled_tol(A, KERNEL_EPS)
-
-
 def _stacked(ops) -> list[np.ndarray]:
     # per algebra block, the (m, d, d) stack of the operators' blocks
     return [np.stack(blocks) for blocks in zip(*(op.blocks for op in ops))]
@@ -766,19 +758,25 @@ def extract_projection(
 ) -> tuple[HermitianOperator, float]:
     """Support projection of z = 1 - sum_r x_r above the kernel cut, and the cut width.
 
-    z is formed per block from the solution's arrays, x_0 + x_1 + ... in
-    sequence.  Verifies the exchange identity ``(1 - e) z = 0`` within ten
-    times the cut width; a larger defect means the coordinates left K and
-    the extraction is meaningless, so it raises ``NonConvergence``.
+    Works per block on the solution's arrays: z is formed as
+    ``1 - (x_0 + x_1 + ...)`` in sequence and symmetrized by ``_form``,
+    decomposed by the checked ``eigh_stack``, and cut by ``linalg._cut``'s
+    support cut: the width eps is ``eps_kernel`` or, when None, ``1e-8 *
+    max(1, ||z||)``, and e keeps the eigenvalues of z above ``2 eps``.
+    Under ``strict`` an eigenvalue of z in ``(eps, 2 eps]`` raises
+    ``AmbiguousSpectralCut``; those up to eps are z's kernel.  e is the one
+    operator built.  Verifies the exchange identity ``(1 - e) z = 0`` on
+    the independent product, its largest singular value within ten times
+    the cut width; a larger defect means the coordinates left K and the
+    extraction is meaningless, so it raises ``NonConvergence``.
     """
 
-    z = HermitianOperator._exact(
-        [np.eye(len(xc[0]), dtype=np.complex128) - sum(xc[1:], xc[0]) for xc in solution.xs]
-    )
-    one = HermitianOperator.identity(z.dims)
-    eps = _resolve_eps(z, eps_kernel)
-    e = spectral_projection(z, (eps, math.inf), eps_kernel=eps, strict=strict)
-    residual = op_norm((one - e) @ z)
+    zs = [_form(np.eye(len(xc[0])) - sum(xc[1:], xc[0]), True) for xc in solution.xs]
+    spectra = [eigh_stack(z[None]) for z in zs]
+    eps, masks = _cut([w[0] for w, _ in spectra], None, math.inf, eps_kernel, strict)
+    e = HermitianOperator._exact([_projector(u[0], m) for (_, u), m in zip(spectra, masks)])
+    products = [_sym(np.eye(len(z)) - p) @ z for p, z in zip(e.blocks, zs)]
+    residual = max(float(np.linalg.norm(b, 2)) for b in products)
     if residual > PROOF_IDENTITY_FACTOR * eps:
         raise NonConvergence(
             f"support extraction left a residual {residual:.3e} "
@@ -1107,13 +1105,13 @@ def _limit_cut(
             diagnostics=diag,
         )
 
-    eps = _resolve_eps(h, opts.eps_kernel)
-    e = spectral_projection(h, (0.5, 1.0), eps_kernel=eps, strict=opts.strict_cuts)
-    # h inverted on the range of e (same interval, same cached eigenbasis),
-    # so ginv h = e holds to roundoff and ||ginv|| <= 1 / (1/2 + eps)
-    ginv = apply_spectral(
-        h, lambda w: np.where((w > 0.5 + eps) & (w <= 1.0 + eps), 1.0 / w, 0.0)
-    )
+    spec = eigh(h)
+    eps, masks = _cut(spec.eigenvalues, 0.5, 1.0, opts.eps_kernel, opts.strict_cuts)
+    e = HermitianOperator._exact([_projector(u, m) for u, m in zip(spec.vectors, masks)])
+    # h inverted on the range of e (same mask, same eigenbasis), so ginv h = e
+    # holds to roundoff and ||ginv|| <= 1 / (1/2 + eps)
+    inv = [np.divide(1.0, w, out=np.zeros_like(w), where=m) for w, m in zip(spec.eigenvalues, masks)]
+    ginv = HermitianOperator._exact([(u * f) @ u.conj().T for u, f in zip(spec.vectors, inv)])
     diag = replace(diag, inverse_cut=ginv, inverse_cut_norm=op_norm(ginv))
     return averages, es[-1], e, eps, diag
 

@@ -108,6 +108,24 @@ def test_verify_strict_unstable_limit_exits_three(tmp_path, capsys):
     assert main(["verify", sc, "--out", str(tmp_path / "r2.json")]) == 0
 
 
+def test_verify_strict_passes_on_roundoff_zeros_of_z(tmp_path):
+    # a = diag(0.9, 0.1) against lambda rho = 1/2: every order's projection has
+    # trace 1, and z's roundoff zeros sit in its kernel, not in the strict band
+    sc = write_scenario(
+        tmp_path,
+        input={"kind": "blocks", "blocks": [[[0.9, 0.0], [0.0, 0.1]]]},
+        **{"lambda": 1.0},
+    )
+    loose, strict = tmp_path / "r1.json", tmp_path / "r2.json"
+    assert main(["verify", sc, "--out", str(loose)]) == 0
+    assert main(["verify", sc, "--strict", "--out", str(strict)]) == 0
+    report = loads(loose.read_text(encoding="utf-8"))
+    assert all(r["projection_trace"] == 1.0 for r in report["pointwise"])
+    assert report["strict"] is False
+    report["strict"] = True
+    assert dumps(report).encode("utf-8") == strict.read_bytes()
+
+
 def test_verify_tracial_unstable_limit_exits_three_without_a_report(tmp_path, capsys):
     # unlike state mode, tracial mode records no unstable limit: without
     # --strict too, the limit's NoStableLimit ends the run as a breakdown
@@ -330,3 +348,36 @@ def test_an_unwritable_out_exits_two(tmp_path, capsys):
             assert main(argv + ["--out", str(out)]) == 2
             assert "ScenarioError: cannot write output file: " in capsys.readouterr().err
     assert not (tmp_path / "missing").exists()
+
+
+def _run(argv, capsys):
+    # exit code, stdout and stderr of one in-process call
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_one_parser_serves_a_sequence_of_calls(tmp_path, capsys):
+    # the parser is built once per process; a bad argv first leaves it usable
+    sc = write_scenario(tmp_path)
+    rep = tmp_path / "r.json"
+    assert main(["verify", sc, "--out", str(rep)]) == 0
+    calls = (
+        ["verify", sc, "--bogus"],
+        ["verify", sc],
+        ["suite", "--seed", "0", "--count", "2"],
+        ["export-csv", str(rep)],
+    )
+    alone = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        alone.append(_run(argv, capsys))
+    cli._build_parser.cache_clear()
+    in_sequence = [_run(argv, capsys) for argv in calls]
+    assert in_sequence == alone
+    assert [code for code, _, _ in in_sequence] == [2, 0, 0, 0]
+    assert "unrecognized arguments: --bogus" in in_sequence[0][2]
+    assert cli._build_parser.cache_info().misses == 1

@@ -50,6 +50,7 @@ from ergocert.linalg import (
 from ergocert.maximal import (
     Certificate,
     KPoint,
+    MaximizerSolution,
     PayoffLayout,
     ProjectionPath,
     SolveOptions,
@@ -817,6 +818,47 @@ def test_solution_point_and_projection_read_the_solver_arrays():
         e, got_eps = extract_projection(sol)
         assert got_eps == eps
         assert all(_same_bits(p, q) for p, q in zip(e.blocks, ref.blocks))
+        # an explicit width is the cut point and the band alike
+        for width in (1e-6, 0.25):
+            ref = spectral_projection(z, (width, math.inf), eps_kernel=width)
+            e, got_eps = extract_projection(sol, width)
+            assert got_eps == width
+            assert all(_same_bits(p, q) for p, q in zip(e.blocks, ref.blocks))
+
+
+def _solution(*blocks):
+    # a solve's result holding the given coordinates, xs[c][r]; extraction
+    # reads only the arrays
+    return MaximizerSolution(tuple(blocks), 0.0, 0, False, None)
+
+
+def test_exchange_residual_gate_fires_outside_k():
+    # coordinates summing to 2 * 1 leave K: z = -1 has no support, so
+    # (1 - e) z = -1 and the residual 1 is far above ten cut widths
+    for dims in ((2,), (2, 1)):
+        one = [np.eye(d, dtype=np.complex128) for d in dims]
+        sol = _solution(*[(b, b.copy()) for b in one])
+        for eps_kernel in (None, 1e-6):
+            with pytest.raises(NonConvergence, match="support extraction left a residual"):
+                extract_projection(sol, eps_kernel)
+
+
+def test_strict_extraction_flags_only_the_band_above_the_width():
+    # z = diag(w, 1) up to roundoff, width 1e-8: eigenvalues up to the width are
+    # z's kernel; those in (eps, 2 eps] are pushed out of e, ambiguous under strict
+    eps = KERNEL_EPS
+    for w, kept in ((0.0, 1.0), (1e-16, 1.0), (-1e-16, 1.0), (0.5 * eps, 1.0), (3 * eps, 2.0)):
+        sol = _solution((np.diag([1.0 - w, 0.0]).astype(np.complex128),))
+        e, got = extract_projection(sol, strict=True)
+        assert got == eps and e.real_trace() == kept
+        loose, _ = extract_projection(sol)
+        assert all(_same_bits(p, q) for p, q in zip(e.blocks, loose.blocks))
+    for w in (1.2 * eps, 1.5 * eps, 1.9 * eps):
+        sol = _solution((np.diag([1.0 - w, 0.0]).astype(np.complex128),))
+        e, _ = extract_projection(sol)
+        assert e.real_trace() == 1.0
+        with pytest.raises(AmbiguousSpectralCut, match="of cut point 1e-08"):
+            extract_projection(sol, strict=True)
 
 
 def test_payoffs_near_the_float_limit_certify():
@@ -955,24 +997,49 @@ def test_non_finite_averages_keep_their_typed_error():
 
 
 def test_pointwise_certificate_decomposes_its_kernel_once(monkeypatch):
+    # per order one checked decomposition of each block of z and one cut width;
     # the eps_kernel tolerance is the width extract_projection cut z with
     _, state, a, ext = _certified_instance(5)
-    calls = []
-    real = maximal._resolve_eps
+    spectra, widths, inside = [], [], []
+    real_extract, real_eigh, real_cut = (
+        maximal.extract_projection,
+        maximal.eigh_stack,
+        maximal._cut,
+    )
 
-    def counting(A, eps_kernel):
-        calls.append(A)
-        return real(A, eps_kernel)
+    def extracting(sol, *args):
+        inside.append(sol)
+        try:
+            return real_extract(sol, *args)
+        finally:
+            inside.pop()
 
-    monkeypatch.setattr(maximal, "_resolve_eps", counting)
+    def decomposing(stack):
+        out = real_eigh(stack)
+        if inside:
+            z = np.eye(len(stack[0])) - sum(inside[-1].xs[len(spectra)])
+            assert len(stack) == 1 and np.allclose(stack[0], z, rtol=0.0, atol=1e-12)
+            spectra.append(out[0])
+        return out
+
+    def cutting(*args):
+        out = real_cut(*args)
+        widths.append(out[0])
+        return out
+
+    monkeypatch.setattr(maximal, "extract_projection", extracting)
+    monkeypatch.setattr(maximal, "eigh_stack", decomposing)
+    monkeypatch.setattr(maximal, "_cut", cutting)
     cert = pointwise_certificate(a, 1.0, 0, state, ext)
-    assert len(calls) == 1
-    assert cert.tolerances["eps_kernel"] == real(calls[0], None)
+    assert len(spectra) == len(state.algebra.signature) and len(widths) == 1
+    width = KERNEL_EPS * max(1.0, max(float(np.max(np.abs(w))) for w in spectra))
+    assert cert.tolerances["eps_kernel"] == widths[0] == width
     path = ProjectionPath(a, 1.0, state.rho, ext.l1_action)
     for n in range(4):
-        calls.clear()
+        spectra.clear()
+        widths.clear()
         pointwise_certificate(a, 1.0, n, state, ext, path=path)
-        assert len(calls) == 1
+        assert len(spectra) == len(state.algebra.signature) and len(widths) == 1
 
 
 def _operator_slack(e, ceiling, s_r):
