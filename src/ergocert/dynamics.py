@@ -161,26 +161,36 @@ class PositiveMapModel:
         weights: list[float] | None = None,
         pedigree: Pedigree = Pedigree.CONSTRUCTED_POSITIVE,
     ) -> "PositiveMapModel":
+        """A Kraus model on copies of ``ops`` and ``weights`` (unit weights for None)."""
+
+        clean = [np.array(v, dtype=np.complex128, copy=True, order="C") for v in ops]
+        w = np.ones(len(clean)) if weights is None else np.array(weights, dtype=np.float64)
+        return cls._kraus(algebra, clean, w, pedigree)
+
+    @classmethod
+    def _kraus(
+        cls, algebra: Algebra, ops: list[np.ndarray], w: np.ndarray, pedigree: Pedigree
+    ) -> "PositiveMapModel":
+        """A Kraus model that keeps ``ops`` and ``w`` themselves, checked and made read-only.
+
+        For arrays no caller writes: complex C-ordered operators (``_act``'s
+        bits rest on the order) and a float weight vector, which may be
+        another model's.
+        """
+
         n = algebra.total_dim
         if not ops:
             raise InputError("a Kraus family needs at least one operator")
-        clean = []
         for v in ops:
-            arr = np.array(v, dtype=np.complex128, copy=True, order="C")
-            if arr.shape != (n, n):
-                raise DimensionMismatch(f"Kraus operator shape {arr.shape} vs {(n, n)}")
-            if not np.isfinite(arr.view(np.float64)).all():
+            if v.shape != (n, n):
+                raise DimensionMismatch(f"Kraus operator shape {v.shape} vs {(n, n)}")
+            if not np.isfinite(v.view(np.float64)).all():
                 raise InputError("Kraus operator has non-finite entries")
-            arr.setflags(write=False)
-            clean.append(arr)
-        if weights is None:
-            w = np.ones(len(clean))
-        else:
-            w = np.asarray(weights, dtype=np.float64).copy()
-        if w.shape != (len(clean),) or not np.isfinite(w).all() or (w <= 0).any():
+            v.setflags(write=False)
+        if w.shape != (len(ops),) or not np.isfinite(w).all() or (w <= 0).any():
             raise InputError("Kraus weights must be positive reals, one per operator")
         w.setflags(write=False)
-        return cls(algebra, "kraus", pedigree, kraus_weights=w, kraus_ops=tuple(clean))
+        return cls(algebra, "kraus", pedigree, kraus_weights=w, kraus_ops=tuple(ops))
 
     @classmethod
     def from_superop(
@@ -234,10 +244,8 @@ class PositiveMapModel:
         """Adjoint for the trace pairing Tr(T(x)* y) = Tr(x* T_adj(y))."""
 
         if self.kind == "kraus":
-            flipped = [v.conj().T for v in self.kraus_ops]
-            return PositiveMapModel.from_kraus(
-                self.algebra, flipped, list(self.kraus_weights), self.pedigree
-            )
+            flipped = [np.conj(v.T, order="C") for v in self.kraus_ops]
+            return PositiveMapModel._kraus(self.algebra, flipped, self.kraus_weights, self.pedigree)
         return PositiveMapModel(
             self.algebra, "superop", self.pedigree, matrix=self.matrix.conj().T
         )
@@ -444,9 +452,7 @@ def extend_l1(
         # rho^{1/2} (V* rho^{-1/2} a rho^{-1/2} V) rho^{1/2} = U* a U
         half_full, neg_half_full = _to_full(half), _to_full(neg_half)
         ops = [neg_half_full @ v @ half_full for v in T.kraus_ops]
-        l1_action = PositiveMapModel.from_kraus(
-            T.algebra, ops, list(T.kraus_weights), T.pedigree
-        )
+        l1_action = PositiveMapModel._kraus(T.algebra, ops, T.kraus_weights, T.pedigree)
     else:
 
         def act(blocks: list[np.ndarray]) -> list[np.ndarray]:

@@ -136,35 +136,12 @@ class KPoint:
         return cls(tuple(algebra.zeros() for _ in range(n + 1)))
 
 
-class _LazyDualBound:
-    """``dual_upper_bound`` of a layout's first m payoffs, computed on first call.
-
-    It holds the layout itself, not a copy.  A layout only appends
-    payoffs, so the prefix view taken at the first call has the bytes the
-    layout had at m payoffs, however far it has grown since.  The layout
-    is released once the value is cached.
-    """
-
-    __slots__ = ("_layout", "_m", "_value")
-
-    def __init__(self, layout: "PayoffLayout", m: int):
-        self._layout: PayoffLayout | None = layout
-        self._m = m
-        self._value: float | None = None
-
-    def __call__(self) -> float:
-        if self._value is None:
-            self._value = dual_upper_bound(self._layout.prefix(self._m))
-            self._layout = None
-        return self._value
-
-
 class _ReadsDualBound:
-    """``dual_bound`` and ``gap`` of a solve, from its lazy ``_dual``."""
+    """``dual_bound`` and ``gap`` of order ``order``'s solve, from its ``_layout``."""
 
     @property
     def dual_bound(self) -> float:
-        return self._dual()
+        return self._layout.bound(self.order + 1)
 
     @property
     def gap(self) -> float:
@@ -178,23 +155,24 @@ class MaximizerSolution(_ReadsDualBound):
     ``xs[c][r]`` is block c of coordinate x_r, in the solver's own arrays,
     each coordinate symmetrized once after the ascent.  ``point`` is the
     same point as a ``KPoint``, built the first time it is read.
-    ``dual_bound`` is ``dual_upper_bound`` of the solve's payoffs
-    B_0, ..., B_n, computed the first time ``dual_bound`` or ``gap`` is
-    read and then cached; ``gap`` is ``max(0, dual_bound - objective)``.
-    A solve whose ascent ran out of sweeps has computed it already,
-    because ``stalled`` is decided by the gap.  ``sweeps`` is the most
-    ascent sweeps of any algebra block plus the most polish sweeps; a
-    block already at a fixed point is not swept again, and counts the 1
-    sweep its polish would take.  A polish runs toward a fixed point for
-    at most 30 sweeps and can stop on that budget short of one; nothing
-    here records which.
+    ``dual_bound`` is ``layout.bound(n + 1)`` of the layout the solve read
+    (``PayoffLayout.bound``): ``dual_upper_bound`` of the payoffs
+    B_0, ..., B_n, computed the first time any reader asks the layout for
+    it and kept there; ``gap`` is ``max(0, dual_bound - objective)``.  The
+    solution keeps its layout for that read.  A solve whose ascent ran out
+    of sweeps has computed the bound already, because ``stalled`` is
+    decided by the gap.  ``sweeps`` is the most ascent sweeps of any
+    algebra block plus the most polish sweeps; a block already at a fixed
+    point is not swept again, and counts the 1 sweep its polish would
+    take.  A polish runs toward a fixed point for at most 30 sweeps and
+    can stop on that budget short of one; nothing here records which.
     """
 
     xs: tuple[tuple[np.ndarray, ...], ...]
     objective: float
     sweeps: int
     stalled: bool
-    _dual: _LazyDualBound = field(repr=False)
+    _layout: PayoffLayout = field(repr=False)
 
     @property
     def order(self) -> int:
@@ -207,16 +185,24 @@ class MaximizerSolution(_ReadsDualBound):
 
 @dataclass(frozen=True, eq=False)
 class Certificate:
-    """Projection plus signed residual slacks; passing means all >= -tol."""
+    """Projection plus signed residual slacks; passing means all >= -tol.
+
+    ``passed`` is derived from ``residuals`` and ``tolerances["residual"]``
+    (the tol), so a certificate cannot disagree with its own slacks.
+    """
 
     projection: HermitianOperator
     lam: float
     kind: str
     order: int
     residuals: dict[str, float]
-    passed: bool
     tolerances: dict[str, float]
     info: dict[str, float]
+
+    @property
+    def passed(self) -> bool:
+        tol = self.tolerances["residual"]
+        return all(v >= -tol for v in self.residuals.values())
 
     def worst_residual(self) -> float:
         return min(self.residuals.values())
@@ -441,13 +427,16 @@ class PayoffLayout:
     complex stacks (``_payoff_stacks``; ``_stacked`` turns operators into
     them), append them and decompose each payoff once, in one checked
     ``eigh_stack`` per block; ``screen`` computes the entries of payoffs
-    added since its last call.  Nothing laid out is computed again.
+    added since its last call.  ``bound(m)`` is the dual bound of the first
+    m payoffs, the one kept for every solve, path step and certificate that
+    reads it.  Nothing laid out is computed again.
     """
 
     def __init__(self, stacks: list[np.ndarray] = ()):
         self.stacks: list[np.ndarray] = []
         self.lows = self.tops = self.masses = np.empty(0)
         self._screens: list[np.ndarray] = []
+        self._bounds: dict[int, float] = {}
         self.extend(stacks)
 
     def __len__(self) -> int:
@@ -458,7 +447,8 @@ class PayoffLayout:
 
         ``extend`` only appends, so the view holds the bytes this layout
         held when it had m payoffs.  It carries the stacks, the spectra and
-        the masses that ``dual_upper_bound`` reads, and no swap screen.
+        the masses that ``dual_upper_bound`` reads, and no swap screen or
+        bound.
         """
 
         view = object.__new__(PayoffLayout)
@@ -479,6 +469,18 @@ class PayoffLayout:
         self.tops = np.concatenate((self.tops, top))
         self.masses = np.concatenate((self.masses, sum(masses)))
 
+    def bound(self, m: int) -> float:
+        """``dual_upper_bound`` of the first m payoffs, computed on the first call.
+
+        m is at most ``len(self)``.  ``extend`` only appends, so the value
+        stays the bound of those m payoffs however far the layout grows.
+        The module-level ``dual_upper_bound`` makes each computation.
+        """
+
+        if m not in self._bounds:
+            self._bounds[m] = dual_upper_bound(self.prefix(m))
+        return self._bounds[m]
+
     def screen(self, c: int) -> np.ndarray:
         """The swap screen of algebra block ``c`` over all payoffs laid out."""
 
@@ -495,7 +497,6 @@ def _solve_from_blocks(
 ) -> MaximizerSolution:
     m = len(layout)
     nblocks = len(algebra.signature)
-    dual = _LazyDualBound(layout, m)
     scale = max(1.0, float(np.max(np.maximum(np.abs(layout.lows), np.abs(layout.tops)))))
     zeros = [(np.zeros((d, d), dtype=np.complex128),) * m for d in algebra.signature]
 
@@ -503,7 +504,7 @@ def _solve_from_blocks(
     # whatever the warm start
     if np.all(layout.tops <= 0.0):
         return MaximizerSolution(
-            xs=tuple(zeros), objective=0.0, sweeps=0, stalled=False, _dual=dual
+            xs=tuple(zeros), objective=0.0, sweeps=0, stalled=False, _layout=layout
         )
 
     # warm[c][r] is block c of x_r; the ascent only rebinds list entries, so
@@ -532,9 +533,9 @@ def _solve_from_blocks(
     xs = tuple(tuple(_sym(x) for x in xc) for xc in xs_arr)
     objective = _point_objective(stacks, xs)
     # only a run out of sweeps is judged by its gap, so only it needs the bound now
-    stalled = stalled and max(0.0, dual() - objective) > STALL_GAP * scale
+    stalled = stalled and max(0.0, layout.bound(m) - objective) > STALL_GAP * scale
     return MaximizerSolution(
-        xs=xs, objective=objective, sweeps=total_sweeps, stalled=stalled, _dual=dual
+        xs=xs, objective=objective, sweeps=total_sweeps, stalled=stalled, _layout=layout
     )
 
 
@@ -604,8 +605,9 @@ def solve_maximizer(
     block is polished when any ran out of sweeps.  ``sweeps`` counts both
     phases (``MaximizerSolution``).  The dual bound of B_0, ..., B_n is
     computed when ``dual_bound`` or ``gap`` is first read, or at once when
-    the ascent ran out of sweeps, since ``stalled`` needs the gap.  The
-    solve starts cold.
+    the ascent ran out of sweeps, since ``stalled`` needs the gap; the
+    solve's ``PayoffLayout`` keeps it, and the solution keeps that layout.
+    The solve starts cold.
     """
 
     layout = PayoffLayout(_state_problem(a, lam, n, state, ext))
@@ -789,8 +791,9 @@ def extract_projection(
 class PathStep(_ReadsDualBound):
     """Order n of a projection path: e_n, its kernel cut width and the solve's numbers.
 
-    ``dual_bound`` and ``gap`` are the solve's, computed on first read
-    from the first n+1 payoffs of the path's layout (see
+    ``dual_bound`` and ``gap`` are the solve's: ``dual_bound`` is
+    ``bound(n + 1)`` of the path's layout, computed on the first read by
+    any step, solve or certificate and kept on the layout (see
     ``MaximizerSolution``); the step does not keep the solve's point.
     """
 
@@ -799,7 +802,8 @@ class PathStep(_ReadsDualBound):
     objective: float
     sweeps: int
     stalled: bool
-    _dual: _LazyDualBound = field(repr=False)
+    order: int
+    _layout: PayoffLayout = field(repr=False)
 
 
 class ProjectionPath:
@@ -812,10 +816,11 @@ class ProjectionPath:
     (order 0 starts cold).  Of the solves' points only the latest is kept,
     as the solver's per-block arrays, for the next warm start; no order
     builds a ``KPoint``.  ``payoffs`` is the ``PayoffLayout`` of the
-    orders solved so far, extended by one payoff per order.  A step's dual
-    bound is computed on first read, from the first n+1 payoffs of that
-    layout, so orders whose bound no record reads (the limit orders) never
-    compute one; a solve that ran out of sweeps computes it at once.
+    orders solved so far, extended by one payoff per order; it keeps every
+    order's dual bound.  Order n's bound is computed by the first read of
+    ``payoffs.bound(n + 1)``, so orders whose bound no record reads (the
+    limit orders) never compute one; a solve that ran out of sweeps
+    computes it at once.
 
     The path keeps two stores: the averages S_r(a), once, as per-block
     ``(m, d, d)`` stacks (``average_stacks``), and the payoffs.  The
@@ -881,7 +886,7 @@ class ProjectionPath:
             e, eps = extract_projection(sol, self.opts.eps_kernel, self.opts.strict_cuts)
             self._xs = sol.xs
             self.steps.append(
-                PathStep(e, eps, sol.objective, sol.sweeps, sol.stalled, sol._dual)
+                PathStep(e, eps, sol.objective, sol.sweeps, sol.stalled, sol.order, self.payoffs)
             )
         return self.steps[n]
 
@@ -1015,14 +1020,12 @@ def pointwise_certificate(
         "sweeps": float(step.sweeps),
         "stalled": float(step.stalled),
     }
-    passed = all(v >= -tol for v in residuals.values())
     return Certificate(
         projection=e,
         lam=lam,
         kind="pointwise",
         order=n,
         residuals=residuals,
-        passed=passed,
         tolerances={"residual": tol, "eps_kernel": step.eps_kernel},
         info=info,
     )
@@ -1116,6 +1119,15 @@ def _limit_cut(
     return averages, es[-1], e, eps, diag
 
 
+def _limit_info(averages: list[np.ndarray], diag: LimitDiagnostics) -> dict[str, float]:
+    # the info a limit certificate records, from _limit_cut's averages and diagnostics
+    return {
+        "cluster_size": float(len(diag.cluster)),
+        "check_horizon": float(len(averages[0]) - 1),
+        "stalled_solves": float(diag.stalled_solves),
+    }
+
+
 def uniform_projection(
     a: LOneElement,
     lam: float,
@@ -1172,14 +1184,8 @@ def uniform_projection(
         kind="uniform",
         order=horizon,
         residuals=residuals,
-        passed=all(v >= -tol for v in residuals.values()),
         tolerances={"residual": tol, "eps_kernel": eps},
-        info={
-            "exceptional_mass": mass,
-            "cluster_size": float(len(diag.cluster)),
-            "check_horizon": float(len(averages[0]) - 1),
-            "stalled_solves": float(diag.stalled_solves),
-        },
+        info={"exceptional_mass": mass, **_limit_info(averages, diag)},
     )
     return cert, diag
 
@@ -1241,13 +1247,8 @@ def yeadon_tracial(
         kind="tracial",
         order=horizon,
         residuals=residuals,
-        passed=all(v >= -tol for v in residuals.values()),
         tolerances={"residual": tol, "eps_kernel": eps},
-        info={
-            "cluster_size": float(len(diag.cluster)),
-            "check_horizon": float(len(averages[0]) - 1),
-            "stalled_solves": float(diag.stalled_solves),
-        },
+        info=_limit_info(averages, diag),
     )
 
 
@@ -1502,40 +1503,31 @@ def diagonal_instance(
 ) -> tuple[Algebra, State, LOneElement, ExtendedMap]:
     """Lift a scalar instance to one-dimensional blocks with a kernel map.
 
-    The kernel needs ``rho P <= rho`` coordinatewise (stationarity, for a
-    stochastic kernel and a probability density) so the lifted map
-    satisfies the absorption condition; the construction fails loudly
-    otherwise.  The lifted L1 action matches the oracle's scalar
-    recursion.
+    The lift is ``example_tensor_markov`` with the one-dimensional inner
+    algebra in its state 1: the matrix unit ``e_ji`` with weight ``P[i, j]``
+    per positive entry.  The kernel must be stochastic with ``rho P <= rho``
+    coordinatewise (``NotStochastic``, ``NotSubInvariant``), so the lifted
+    map satisfies the absorption condition.  ``P`` of None is the identity
+    map.  The lifted L1 action matches the oracle's scalar recursion.
     """
 
     from .algebra import make_state
-    from .dynamics import extend_l1
+    from .dynamics import example_tensor_markov, extend_l1
 
     a = np.asarray(a_diag, dtype=np.float64)
     rho = np.asarray(rho_diag, dtype=np.float64)
     if a.ndim != 1 or rho.ndim != 1 or a.shape != rho.shape:
         raise InputError("diagonal data must be matching vectors")
-    d = a.size
-    algebra = Algebra((1,) * d)
-    state = make_state(
-        algebra, HermitianOperator.from_diagonal(algebra.signature, rho)
-    )
-    a_op = HermitianOperator.from_diagonal(algebra.signature, a)
     if P is None:
+        algebra = Algebra((1,) * a.size)
+        state = make_state(
+            algebra, HermitianOperator.from_diagonal(algebra.signature, rho)
+        )
         model = PositiveMapModel.identity(algebra)
     else:
-        P = np.asarray(P, dtype=np.float64)
-        ops = []
-        weights = []
-        for i in range(d):
-            for j in range(d):
-                if P[i, j] <= 0.0:
-                    continue
-                v = np.zeros((d, d), dtype=np.complex128)
-                v[j, i] = 1.0
-                ops.append(v)
-                weights.append(float(P[i, j]))
-        model = PositiveMapModel.from_kraus(algebra, ops, weights)
-    ext = extend_l1(model, state)
-    return algebra, state, LOneElement(a_op), ext
+        unit = Algebra((1,))
+        algebra, state, model = example_tensor_markov(
+            P, rho, unit, make_state(unit, unit.identity())
+        )
+    a_op = HermitianOperator.from_diagonal(algebra.signature, a)
+    return algebra, state, LOneElement(a_op), extend_l1(model, state)

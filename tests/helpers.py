@@ -302,12 +302,11 @@ def reference_solve_from_blocks(algebra, layout, opts, warm):
 
     m = len(layout)
     nblocks = len(algebra.signature)
-    dual = maximal._LazyDualBound(layout, m)
     scale = max(1.0, float(np.max(np.maximum(np.abs(layout.lows), np.abs(layout.tops)))))
     zeros = [(np.zeros((d, d), dtype=np.complex128),) * m for d in algebra.signature]
     if np.all(layout.tops <= 0.0):
         return maximal.MaximizerSolution(
-            xs=tuple(zeros), objective=0.0, sweeps=0, stalled=False, _dual=dual
+            xs=tuple(zeros), objective=0.0, sweeps=0, stalled=False, _layout=layout
         )
     xs_arr = [list(xc) for xc in (zeros if warm is None else warm)]
     stacks = layout.stacks
@@ -325,9 +324,9 @@ def reference_solve_from_blocks(algebra, layout, opts, warm):
         )
     xs = tuple(tuple(maximal._sym(x) for x in xc) for xc in xs_arr)
     objective = maximal._point_objective(stacks, xs)
-    stalled = stalled and max(0.0, dual() - objective) > maximal.STALL_GAP * scale
+    stalled = stalled and max(0.0, layout.bound(m) - objective) > maximal.STALL_GAP * scale
     return maximal.MaximizerSolution(
-        xs=xs, objective=objective, sweeps=sweeps, stalled=stalled, _dual=dual
+        xs=xs, objective=objective, sweeps=sweeps, stalled=stalled, _layout=layout
     )
 
 

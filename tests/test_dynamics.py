@@ -157,6 +157,32 @@ def test_from_kraus_validates_shapes_and_weights():
         PositiveMapModel.from_kraus(M2, [])
 
 
+def test_map_models_copy_what_callers_pass_and_share_their_own():
+    # from_kraus keeps copies: writing the caller's arrays afterwards changes
+    # nothing.  The trace adjoint and the L1 action keep the operators they
+    # built, C-ordered and read-only, and share their source's weights
+    state = random_state(41, M23)
+    source = random_certified_map(42, M23, state)
+    ops = [np.array(v) for v in source.kraus_ops]
+    weights = np.array(source.kraus_weights)
+    copied = PositiveMapModel.from_kraus(M23, ops, weights)
+    for v in ops:
+        v[...] = 7.0
+    weights[...] = 9.0
+    assert [v.tobytes() for v in copied.kraus_ops] == [v.tobytes() for v in source.kraus_ops]
+    assert copied.kraus_weights.tobytes() == source.kraus_weights.tobytes()
+    ext = extend_l1(source, state)
+    for model in (source.trace_adjoint(), ext.l1_action, ext.adjoint_action):
+        assert model.kraus_weights is source.kraus_weights
+        assert model.pedigree is source.pedigree
+        for v in model.kraus_ops:
+            assert v.flags.c_contiguous and not v.flags.writeable
+    adjoint = source.trace_adjoint()
+    assert [v.tobytes() for v in adjoint.kraus_ops] == [
+        np.array(v.conj().T, order="C").tobytes() for v in source.kraus_ops
+    ]
+
+
 # -- condition certification -------------------------------------------------
 
 

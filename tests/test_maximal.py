@@ -29,10 +29,12 @@ from ergocert.dynamics import (
 from ergocert.errors import (
     AmbiguousSpectralCut,
     ConditionsNotMet,
+    DimensionMismatch,
     InputError,
     NonConvergence,
     NoStableLimit,
     NotStochastic,
+    NotSubInvariant,
     NotTracial,
 )
 from ergocert.linalg import (
@@ -260,6 +262,70 @@ def test_diagonal_identity_action_mass_bound():
         algebra, state, a_l1, ext = diagonal_instance(a, mu, None)
         sol = solve_maximizer(a_l1, lam, 4, state, ext)
         assert abs(sol.objective - ref.optimum) <= 1e-8 * max(1.0, ref.optimum)
+
+
+def _sparse_stationary_kernel(rng, d):
+    # a stochastic kernel with zero entries, kept irreducible by a cycle, and
+    # its stationary density
+    P = rng.random((d, d)) * (rng.random((d, d)) < 0.6)
+    P[np.arange(d), (np.arange(d) + 1) % d] += 0.1
+    P /= P.sum(axis=1, keepdims=True)
+    w, v = np.linalg.eig(P.T)
+    mu = np.abs(v[:, np.argmin(np.abs(w - 1.0))].real)
+    return P, mu / mu.sum()
+
+
+def test_diagonal_lift_keeps_the_matrix_unit_bits():
+    # the lift through example_tensor_markov gives the bits of the loop over
+    # matrix units it replaced: e_ji with weight P[i, j] per positive entry,
+    # and the density from_diagonal(rho)
+    rng = np.random.default_rng(154)
+    for d in range(1, 6):
+        for _ in range(4):
+            P, mu = _sparse_stationary_kernel(rng, d)
+            ops, weights = [], []
+            for i in range(d):
+                for j in range(d):
+                    if P[i, j] > 0.0:
+                        v = np.zeros((d, d), dtype=np.complex128)
+                        v[j, i] = 1.0
+                        ops.append(v)
+                        weights.append(float(P[i, j]))
+            rho = HermitianOperator.from_diagonal((1,) * d, mu)
+            algebra, state, _, ext = diagonal_instance(rng.uniform(0.0, 2.0, d), mu, P)
+            assert algebra.signature == (1,) * d
+            assert [v.tobytes() for v in ext.base.kraus_ops] == [v.tobytes() for v in ops]
+            assert ext.base.kraus_weights.tobytes() == np.array(weights).tobytes()
+            assert [b.tobytes() for b in state.rho.blocks] == [b.tobytes() for b in rho.blocks]
+
+
+def test_diagonal_lift_rejects_a_kernel_that_is_not_stochastic():
+    # once ConditionsNotMet from extend_l1, an InputError on the weights, or
+    # (sub-stochastic rows) no error at all
+    a, rho = np.array([1.0, 0.5]), np.array([0.5, 0.5])
+    for P in (
+        [[0.25, 0.25], [0.25, 0.25]],
+        [[1.0, 0.5], [0.5, 1.0]],
+        [[1.1, -0.1], [0.0, 1.0]],
+        [[math.nan, 1.0], [0.0, 1.0]],
+        np.ones((2, 3)) / 3,
+    ):
+        with pytest.raises(NotStochastic):
+            diagonal_instance(a, rho, np.asarray(P))
+
+
+def test_diagonal_lift_rejects_a_density_the_kernel_raises():
+    # rho P > rho at the first site: once ConditionsNotMet from extend_l1
+    with pytest.raises(NotSubInvariant):
+        diagonal_instance(np.array([1.0, 0.5]), np.array([0.8, 0.2]), np.full((2, 2), 0.5))
+
+
+def test_diagonal_lift_rejects_a_kernel_of_another_size():
+    # a larger kernel was cut to its leading block, a smaller one raised IndexError
+    a, rho = np.array([1.0, 0.5]), np.array([0.5, 0.5])
+    for P in (np.eye(3), np.eye(1)):
+        with pytest.raises(DimensionMismatch):
+            diagonal_instance(a, rho, P)
 
 
 # -- solver basics ---------------------------------------------------------------
@@ -770,6 +836,53 @@ def test_lazy_dual_bound_reads_the_prefix_of_a_grown_path(monkeypatch):
         assert step.gap == max(0.0, step.dual_bound - step.objective)
     # each step was read twice and computed once
     assert calls == [n + 1 for n in range(horizon + 1)]
+
+
+def test_layout_keeps_one_bound_per_prefix(monkeypatch):
+    # bound(m) is dual_upper_bound of the first m payoffs, bit for bit, made
+    # by one call of the module-level function and kept as payoffs are appended
+    _, state, a, ext = _certified_instance(5)
+    stacks = _stacked(_state_payoffs(a, 0.5, 6, state, ext))
+    expected = [dual_upper_bound(PayoffLayout([s[:m] for s in stacks])) for m in range(8)]
+    calls = count_dual_calls(monkeypatch)
+    layout = PayoffLayout([s[:3] for s in stacks])
+    for m in (3, 1, 3, 1):
+        # the test module's own dual_upper_bound is not the counted one
+        assert repr(layout.bound(m)) == repr(dual_upper_bound(layout.prefix(m)))
+        assert repr(layout.bound(m)) == repr(expected[m])
+    assert calls == [3, 1]
+    layout.extend([s[3:] for s in stacks])
+    assert [repr(layout.bound(m)) for m in range(8)] == [repr(b) for b in expected]
+    assert calls == [3, 1, 0, 2, 4, 5, 6, 7]
+
+
+def test_certificate_passes_down_to_exactly_minus_tol():
+    # passed is derived from the residuals and tolerances["residual"]: a worst
+    # slack of exactly -tol passes, the next float below it fails
+    tol = 1e-7
+    below = float(np.nextafter(-tol, -math.inf))
+
+    def verdict(worst):
+        return Certificate(
+            projection=HermitianOperator.identity((1,)),
+            lam=1.0,
+            kind="pointwise",
+            order=0,
+            residuals={"a": 1.0, "b": worst},
+            tolerances={"residual": tol, "eps_kernel": 1e-8},
+            info={},
+        ).passed
+
+    assert verdict(-tol) and not verdict(below) and not verdict(math.nan)
+    # the certificate functions hand their tol to the same rule
+    _, state, a, ext = _certified_instance(5)
+    cert = pointwise_certificate(a, 0.5, 3, state, ext)
+    worst = cert.worst_residual()
+    assert cert.passed
+    at = pointwise_certificate(a, 0.5, 3, state, ext, tol=-worst)
+    assert at.tolerances["residual"] == -worst and at.passed
+    beyond = pointwise_certificate(a, 0.5, 3, state, ext, tol=-np.nextafter(worst, math.inf))
+    assert beyond.residuals == cert.residuals and not beyond.passed
 
 
 def test_path_keeps_solver_arrays_between_orders(monkeypatch):
