@@ -89,8 +89,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    if args.horizon < 1:
-        raise InputError(f"--horizon must be >= 1, got {args.horizon}")
     report = run_suite(
         args.seed, args.count, args.dims, horizon=args.horizon, tol=args.tol
     )

@@ -169,13 +169,16 @@ class PositiveMapModel:
 
     @classmethod
     def _kraus(
-        cls, algebra: Algebra, ops: list[np.ndarray], w: np.ndarray, pedigree: Pedigree
+        cls, algebra: Algebra, ops: list[np.ndarray], w: np.ndarray,
+        pedigree: Pedigree = Pedigree.CONSTRUCTED_POSITIVE,
     ) -> "PositiveMapModel":
         """A Kraus model that keeps ``ops`` and ``w`` themselves, checked and made read-only.
 
         For arrays no caller writes: complex C-ordered operators (``_act``'s
         bits rest on the order) and a float weight vector, which may be
-        another model's.
+        another model's.  The examples and ``random_certified_map`` pass
+        the arrays they have just built; the pedigree defaults to
+        ``from_kraus``'s.
         """
 
         n = algebra.total_dim
@@ -584,8 +587,7 @@ def example_tensor_markov(
             v[w2 * d_in : (w2 + 1) * d_in, w * d_in : (w + 1) * d_in] = np.eye(d_in)
             ops.append(v)
             weights.append(float(P[w, w2]))
-    model = PositiveMapModel.from_kraus(algebra, ops, weights)
-    return algebra, state, model
+    return algebra, state, PositiveMapModel._kraus(algebra, ops, np.array(weights))
 
 
 def _partition_items(value, what: str) -> list:
@@ -703,13 +705,13 @@ def example_cond_expectation(
             projections.append(p)
 
     if invariant:
-        return PositiveMapModel.from_kraus(algebra, projections)
+        return PositiveMapModel._kraus(algebra, projections, np.ones(len(projections)))
 
     rho_n = HermitianOperator._exact(_partition_pinch(sig, groups, state.rho))
     rho_n_inv_half = _to_full(apply_spectral(rho_n, lambda w: w ** (-0.5)).blocks)
     rho_half = _to_full(state.power(0.5).blocks)
     ops = [rho_half @ p @ rho_n_inv_half for p in projections]
-    return PositiveMapModel.from_kraus(algebra, ops)
+    return PositiveMapModel._kraus(algebra, ops, np.ones(len(ops)))
 
 
 def random_certified_map(
@@ -741,9 +743,7 @@ def random_certified_map(
         if bound <= 0.0:
             continue
         s = math.sqrt(0.99 / bound)
-        model = PositiveMapModel.from_kraus(
-            algebra, [s * v for v in ops], weights.tolist()
-        )
+        model = PositiveMapModel._kraus(algebra, [s * v for v in ops], weights)
         if check_conditions(model, state).all_ok:
             return model
     raise GenerationFailure(

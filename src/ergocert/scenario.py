@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from io import StringIO
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -606,19 +606,49 @@ def diagnostics_record(diag: LimitDiagnostics) -> dict:
     return rec
 
 
+def _state_records(
+    a: LOneElement, lam: float, orders: Iterable[int], horizon: int, state: State,
+    ext: ExtendedMap, opts: SolveOptions, tol: float | None, strict: bool = False,
+) -> tuple[ProjectionPath, list[dict], dict, LimitDiagnostics | None]:
+    """The state-mode certificates of one problem, as report records.
+
+    Builds one projection path, certifies each order of ``orders`` on it
+    and then the uniform limit at ``horizon``, so each order is solved
+    once.  Returns the path, the pointwise records, the uniform record and
+    the limit diagnostics.  A NoStableLimit becomes the uniform record
+    ``{"no_stable_limit": true, "message": ...}`` with the diagnostics it
+    carries (possibly None); under ``strict`` it is raised again.
+    """
+
+    dim = state.algebra.total_dim
+    path = ProjectionPath(a, lam, state.rho, ext.l1_action, opts)
+    records = []
+    for n in orders:
+        cert = pointwise_certificate(a, lam, n, state, ext, opts, tol, path)
+        records.append(certificate_record(cert, dim))
+    try:
+        cert, diag = uniform_projection(a, lam, horizon, state, ext, opts, tol, path)
+    except NoStableLimit as exc:
+        if strict:
+            raise
+        urec, diag = {"no_stable_limit": True, "message": str(exc)}, exc.diagnostics
+    else:
+        urec = {"no_stable_limit": False, **certificate_record(cert, dim)}
+    return path, records, urec, diag
+
+
 def run_scenario(sc: Scenario, strict: bool = False, tol: float | None = None) -> dict:
     """Execute the pipeline a scenario describes and build its report.
 
-    Pointwise certificates run for n = 0..n_max, then one uniform
-    certificate at the horizon, all on one projection path, so each order
-    is solved once.  In state mode without --strict, a NoStableLimit is
-    recorded in the report but does not gate the verdict; every produced
-    certificate gates it.  Tracial mode records none: its NoStableLimit
-    propagates to the caller, as numerical breakdowns do.
+    In state mode ``_state_records`` certifies n = 0..n_max and the
+    uniform limit at the horizon on one projection path, and the limit
+    diagnostics go to the report's ``diagnostics``.  Without --strict, a
+    NoStableLimit is recorded in the report but does not gate the verdict;
+    every produced certificate gates it.  Tracial mode records none: its
+    NoStableLimit propagates to the caller, as numerical breakdowns do.
     """
 
     prob = build_problem(sc, strict, tol)
-    dim = prob.algebra.total_dim
     report: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "kind": "scenario_report",
@@ -636,42 +666,20 @@ def run_scenario(sc: Scenario, strict: bool = False, tol: float | None = None) -
             prob.a, prob.lam, prob.horizon, prob.algebra, prob.weight,
             prob.model, prob.opts, prob.tol,
         )
-        report["tracial"] = certificate_record(cert, dim)
+        report["tracial"] = certificate_record(cert, prob.algebra.total_dim)
         report["overall_pass"] = bool(cert.passed)
         return report
 
-    path = ProjectionPath(
-        prob.a, prob.lam, prob.state.rho, prob.ext.l1_action, prob.opts
+    _, records, urec, diag = _state_records(
+        prob.a, prob.lam, range(prob.n_max + 1), prob.horizon, prob.state,
+        prob.ext, prob.opts, prob.tol, strict,
     )
-    records = []
-    for n in range(prob.n_max + 1):
-        cert = pointwise_certificate(
-            prob.a, prob.lam, n, prob.state, prob.ext, prob.opts, prob.tol, path
-        )
-        records.append(certificate_record(cert, dim))
     report["pointwise"] = records
-
-    try:
-        ucert, diag = uniform_projection(
-            prob.a, prob.lam, prob.horizon, prob.state, prob.ext,
-            prob.opts, prob.tol, path,
-        )
-    except NoStableLimit as exc:
-        if strict:
-            raise
-        rec = {"no_stable_limit": True, "message": str(exc)}
-        if exc.diagnostics is not None:
-            report["diagnostics"] = diagnostics_record(exc.diagnostics)
-        report["uniform"] = rec
-        report["overall_pass"] = all(r["passed"] for r in records)
-        return report
-
-    urec = {"no_stable_limit": False}
-    urec.update(certificate_record(ucert, dim))
     report["uniform"] = urec
-    report["diagnostics"] = diagnostics_record(diag)
-    report["overall_pass"] = bool(
-        all(r["passed"] for r in records) and ucert.passed
+    if diag is not None:
+        report["diagnostics"] = diagnostics_record(diag)
+    report["overall_pass"] = all(r["passed"] for r in records) and (
+        urec["no_stable_limit"] or urec["passed"]
     )
     return report
 

@@ -275,8 +275,11 @@ def test_suite_bad_dims_is_an_argument_error():
     assert exc.value.code == 2
 
 
-def test_suite_bad_horizon_exits_two():
+def test_suite_bad_horizon_exits_two(capsys):
     assert main(["suite", "--seed", "7", "--count", "1", "--horizon", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "InputError: horizon must be a whole number >= 1, got 0\n"
+    )
 
 
 def test_export_csv_from_suite_report(tmp_path, capsys):

@@ -183,6 +183,48 @@ def test_map_models_copy_what_callers_pass_and_share_their_own():
     ]
 
 
+@pytest.mark.parametrize("seed", [0, 5, 17])
+def test_example_maps_keep_their_own_arrays_with_the_bits_from_kraus_gives(
+    seed, monkeypatch
+):
+    # the worked examples and the random map build fresh arrays and pass
+    # them on without a copy; from_kraus on the same operators and weights
+    # (as a list of floats) gives every bit, dtype and layout they keep
+    copies = []
+    real = PositiveMapModel.from_kraus.__func__
+
+    def counting(cls, *args, **kwargs):
+        copies.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(PositiveMapModel, "from_kraus", classmethod(counting))
+    state = random_state(seed, M23)
+    models = [
+        random_certified_map(seed + 1, M23, state),
+        # the pinching branch and the generalized branch
+        example_cond_expectation(M23, state, [[[0, 1]], [[0, 1, 2]]]),
+        example_cond_expectation(M23, state, [[[0], [1]], [[0, 2], [1]]]),
+        example_tensor_markov(
+            np.array([[0.0, 1.0], [1.0, 0.0]]) if seed % 2 else np.full((2, 2), 0.5),
+            np.array([0.5, 0.5]),
+            M2,
+            random_state(seed + 2, M2),
+        )[2],
+    ]
+    assert copies == []
+    for model in models:
+        ref = real(
+            PositiveMapModel, model.algebra, list(model.kraus_ops), model.kraus_weights.tolist()
+        )
+        assert model.pedigree is Pedigree.CONSTRUCTED_POSITIVE
+        assert model.kraus_weights.dtype == np.float64
+        assert model.kraus_weights.tobytes() == ref.kraus_weights.tobytes()
+        assert not model.kraus_weights.flags.writeable
+        for v, r in zip(model.kraus_ops, ref.kraus_ops, strict=True):
+            assert v.dtype == r.dtype and v.flags.c_contiguous and not v.flags.writeable
+            assert v.tobytes() == r.tobytes()
+
+
 # -- condition certification -------------------------------------------------
 
 

@@ -78,6 +78,58 @@ def test_run_suite_rejects_empty_batch():
         run_suite(7, 0, dims=[2])
 
 
+def test_run_suite_checks_count_and_horizon_before_any_solve(monkeypatch):
+    solves = []
+    real = maximal._solve_from_blocks
+
+    def recording(*args):
+        solves.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(maximal, "_solve_from_blocks", recording)
+    for count, horizon in ((7, 0), (2, 2.5), (2.0, 8), (True, 8), (2, -1)):
+        with pytest.raises(InputError, match="must be a whole number >= 1"):
+            run_suite(7, count, horizon=horizon)
+    assert solves == []
+
+
+def test_run_suite_records_an_unstable_limit():
+    # a horizon below the cluster window never finds a stable limit
+    report = run_suite(0, 3, horizon=2)
+    for inst in report["instances"]:
+        urec = inst["uniform"]
+        assert urec == {
+            "no_stable_limit": True,
+            "message": urec["message"],
+            "cluster_size": 2,
+            "stalled_solves": 0,
+        }
+        assert urec["message"].startswith("largest projection cluster has 2 members")
+    aggregate = report["aggregate"]
+    assert aggregate["no_stable_limit_count"] == 3
+    assert aggregate["no_stable_limit_rate"] == 1.0
+    assert aggregate["uniform_pass_rate"] == 1.0
+    assert report["overall_pass"] is True
+
+
+@pytest.mark.parametrize(
+    "tol, pass_rate, pointwise, uniform",
+    [(1e-16, 8 / 9, 1.0, 8 / 9), (1e-17, 7 / 9, 7 / 9, 7 / 9)],
+)
+def test_run_suite_aggregates_a_batch_where_some_certificates_fail(
+    tol, pass_rate, pointwise, uniform
+):
+    # pinned from the suite that kept running tallies beside its records
+    report = run_suite(0, 9, tol=tol)
+    aggregate = report["aggregate"]
+    assert aggregate["pass_rate"] == pass_rate
+    assert aggregate["pointwise_pass_rate"] == pointwise
+    assert aggregate["uniform_pass_rate"] == uniform
+    assert aggregate["no_stable_limit_count"] == 0
+    assert aggregate["worst_residual"] == -4.696267993228166e-16
+    assert report["overall_pass"] is False
+
+
 def test_run_suite_csv_rows_per_instance_and_order():
     report = run_suite(7, 3, dims=[2])
     lines = export_csv(report).strip().split("\n")
